@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,17 +36,9 @@ class LoopParams:
     f_ps_hz: float
 
     def __post_init__(self):
-        for name in (
-            "k_pd_v_per_rad",
-            "k_lf_v_per_v",
-            "k_driver_v_per_v",
-            "k_ps_rad_per_v",
-            "f_lf_zero_hz",
-            "f_lf_pole_hz",
-            "f_ps_hz",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be > 0")
 
     @property
     def dc_gain(self) -> float:

@@ -74,43 +74,12 @@ def _tail_prob(distance, n0: float):
     return 0.5 * erfc(np.asarray(distance) / math.sqrt(n0))
 
 
-def axis_error_probabilities(
-    c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
-):
-    """Conditional per-axis error probabilities (p_i, p_q) at phase theta."""
-    x, y = _rotated_means(c, theta)
-    t_lo, t_hi = _region_bounds(c)
-    ki, kq = c.level_indices[symbol_index]
-    p_i = _tail_prob(x[symbol_index] - t_lo[ki], env.n0) + _tail_prob(
-        t_hi[ki] - x[symbol_index], env.n0
-    )
-    p_q = _tail_prob(y[symbol_index] - t_lo[kq], env.n0) + _tail_prob(
-        t_hi[kq] - y[symbol_index], env.n0
-    )
-    return p_i, p_q
+def _symbol_errors(c: OffsetQamConstellation, theta, n0: float):
+    """Per-axis (p_i, p_q) and symbol error probabilities of every symbol.
 
-
-def conditional_symbol_error(
-    c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
-):
-    """P(symbol error | sent symbol, residual phase theta)."""
-    p_i, p_q = axis_error_probabilities(c, symbol_index, theta, env)
-    out = p_i + p_q - p_i * p_q
-    return out if np.ndim(out) else float(out)
-
-
-def _hamming_table(c: OffsetQamConstellation) -> np.ndarray:
-    """ham[a, b]: Gray sub-word bit flips between level a and level b."""
-    m = c.side
-    gray = np.array([k ^ (k >> 1) for k in range(m)])
-    xor = gray[:, None] ^ gray[None, :]
-    return np.array(
-        [[bin(int(v)).count("1") for v in row] for row in xor], dtype=float
-    )
-
-
-def _ser_at(c: OffsetQamConstellation, theta, n0: float):
-    """Mean symbol error probability over the constellation at each theta."""
+    Each has shape (order,) + theta shape; I and Q errors combine as
+    p_i + p_q - p_i * p_q.
+    """
     x, y = _rotated_means(c, theta)
     t_lo, t_hi = _region_bounds(c)
     ki = c.level_indices[:, 0]
@@ -122,7 +91,38 @@ def _ser_at(c: OffsetQamConstellation, theta, n0: float):
     p_q = _tail_prob(y - t_lo[kq].reshape(shape), n0) + _tail_prob(
         t_hi[kq].reshape(shape) - y, n0
     )
-    return np.mean(p_i + p_q - p_i * p_q, axis=0)
+    return p_i, p_q, p_i + p_q - p_i * p_q
+
+
+def axis_error_probabilities(
+    c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
+):
+    """Conditional per-axis error probabilities (p_i, p_q) at phase theta."""
+    p_i, p_q, _ = _symbol_errors(c, theta, env.n0)
+    return p_i[symbol_index], p_q[symbol_index]
+
+
+def conditional_symbol_error(
+    c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
+):
+    """P(symbol error | sent symbol, residual phase theta)."""
+    out = _symbol_errors(c, theta, env.n0)[2][symbol_index]
+    return out if np.ndim(out) else float(out)
+
+
+def _ser_at(c: OffsetQamConstellation, theta, n0: float):
+    """Mean symbol error probability over the constellation at each theta."""
+    return np.mean(_symbol_errors(c, theta, n0)[2], axis=0)
+
+
+def _hamming_table(c: OffsetQamConstellation) -> np.ndarray:
+    """ham[a, b]: Gray sub-word bit flips between level a and level b."""
+    m = c.side
+    gray = np.array([k ^ (k >> 1) for k in range(m)])
+    xor = gray[:, None] ^ gray[None, :]
+    return np.array(
+        [[bin(int(v)).count("1") for v in row] for row in xor], dtype=float
+    )
 
 
 def _level_probabilities(c: OffsetQamConstellation, means: np.ndarray, n0: float):
@@ -137,40 +137,33 @@ def _level_probabilities(c: OffsetQamConstellation, means: np.ndarray, n0: float
     )
 
 
-def _bit_errors_at(c: OffsetQamConstellation, theta, n0: float):
-    """Mean expected Gray bit flips per symbol at each theta."""
+def _symbol_bit_errors(c: OffsetQamConstellation, theta, n0: float):
+    """Expected Gray bit flips of every symbol, shape (order, theta size)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     x, y = _rotated_means(c, theta)
     ham = _hamming_table(c)
-    total = np.zeros(theta.shape)
+    total = np.zeros((c.order,) + theta.shape)
     for means, k_true in ((x, c.level_indices[:, 0]), (y, c.level_indices[:, 1])):
         if n0 == 0:
             det = np.searchsorted(c.thresholds, means, side="left")
-            errs = ham[k_true[:, None], det]
+            total += ham[k_true[:, None], det]
         else:
             p_level = _level_probabilities(c, means, n0)
-            errs = np.einsum("skl,sl->sk", p_level, ham[k_true])
-        total += errs.mean(axis=0)
+            total += np.einsum("skl,sl->sk", p_level, ham[k_true])
     return total
+
+
+def _bit_errors_at(c: OffsetQamConstellation, theta, n0: float):
+    """Mean expected Gray bit flips per symbol at each theta."""
+    return _symbol_bit_errors(c, theta, n0).mean(axis=0)
 
 
 def conditional_bit_errors(
     c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
 ):
     """Expected Gray bit flips for one transmitted symbol at phase theta."""
-    scalar = np.ndim(theta) == 0
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    x, y = _rotated_means(c, th)
-    ham = _hamming_table(c)
-    ki, kq = c.level_indices[symbol_index]
-    total = np.zeros(th.shape)
-    for means, k_true in ((x[symbol_index], ki), (y[symbol_index], kq)):
-        if env.n0 == 0:
-            det = np.searchsorted(c.thresholds, means, side="left")
-            total += ham[k_true, det]
-        else:
-            total += _level_probabilities(c, means, env.n0) @ ham[k_true]
-    return float(total[0]) if scalar else total
+    total = _symbol_bit_errors(c, theta, env.n0)[symbol_index]
+    return float(total[0]) if np.ndim(theta) == 0 else total
 
 
 def _integrate_over_phase(values_fn, sigma: float, quad_order: int, rel_tol: float):

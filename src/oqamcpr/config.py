@@ -11,31 +11,23 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .analysis import LoopParams, scale_to_closed_loop_bandwidth
+from .analysis import DEFAULT_LOOP, LoopParams, scale_to_closed_loop_bandwidth
 from .channel import ChannelScenario, LaserModel, PathMismatch
 from .constellation import SUPPORTED_ORDERS, OffsetQamConstellation, build_constellation
 from .cpr import DetectorMethod
 from .errors import ConfigError
 
 MODES = ("lock", "bode", "psd", "ber-sweep", "trace")
+_LOOP_KEYS = tuple(f.name for f in fields(LoopParams))
 
 DEFAULTS = {
     "modulation": {"order": None, "a_oma": 1.0},
     "laser": {"linewidth_hz": 0.0},
     "mismatch": {"delta_l_m": 0.0, "refractive_index": 1.468},
-    "loop": {
-        "k_pd_v_per_rad": 2.55e-2,
-        "k_lf_v_per_v": 1.2e3,
-        "k_driver_v_per_v": 2.0,
-        "k_ps_rad_per_v": 15.7,
-        "f_lf_zero_hz": 0.8e6,
-        "f_lf_pole_hz": 6e3,
-        "f_ps_hz": 2e3,
-        "detector_method": "method1",
-    },
+    "loop": {**asdict(DEFAULT_LOOP), "detector_method": "method1"},
     "channel": {"baud_rate_hz": 100e9, "phi_offset_rad": 0.0},
     "run": {"mode": None, "seed": 1, "svg": False, "label": None},
 }
@@ -44,17 +36,7 @@ _ALLOWED = {
     "modulation": {"order", "a_oma", "a0", "m_ratio"},
     "laser": {"linewidth_hz"},
     "mismatch": {"delta_l_m", "refractive_index"},
-    "loop": {
-        "k_pd_v_per_rad",
-        "k_lf_v_per_v",
-        "k_driver_v_per_v",
-        "k_ps_rad_per_v",
-        "f_lf_zero_hz",
-        "f_lf_pole_hz",
-        "f_ps_hz",
-        "detector_method",
-        "closed_loop_bw_hz",
-    },
+    "loop": {*_LOOP_KEYS, "detector_method", "closed_loop_bw_hz"},
     "channel": {"baud_rate_hz", "snr_db", "n0", "pd_bandwidth_hz", "phi_offset_rad"},
     "run": {
         "mode",
@@ -161,15 +143,7 @@ def validate_config(data: dict, raw: str | None = None) -> dict:
     )
 
     loop = cfg["loop"]
-    for key in (
-        "k_pd_v_per_rad",
-        "k_lf_v_per_v",
-        "k_driver_v_per_v",
-        "k_ps_rad_per_v",
-        "f_lf_zero_hz",
-        "f_lf_pole_hz",
-        "f_ps_hz",
-    ):
+    for key in _LOOP_KEYS:
         _require_number(raw, "loop", key, loop[key], positive=True)
     if "closed_loop_bw_hz" in loop:
         _require_number(raw, "loop", "closed_loop_bw_hz", loop["closed_loop_bw_hz"], positive=True)
@@ -222,9 +196,13 @@ def validate_config(data: dict, raw: str | None = None) -> dict:
             _fail(raw, "snr_grid_db", "must be a list of values or {start, stop, step}")
     if "duration_s" in run:
         _require_number(raw, "run", "duration_s", run["duration_s"], positive=True)
-    if "num_symbols" in run:
-        if not isinstance(run["num_symbols"], int) or run["num_symbols"] < 1:
-            _fail(raw, "num_symbols", "must be a positive integer")
+    for key in ("decimation", "samples_per_symbol", "num_symbols"):
+        value = run.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            _fail(raw, key, "must be a positive integer")
+    if run["mode"] == "lock" and mod["a0"] == 0:
+        key = "m_ratio" if "m_ratio" in data["modulation"] else "a0"
+        _fail(raw, key, "lock mode needs a0 = m_ratio * a_oma > 0")
     if "reference_metrics" in run:
         ref = run["reference_metrics"]
         allowed = {"crossover_hz", "phase_margin_deg", "closed_loop_bw_hz", "dc_gain"}
@@ -279,15 +257,7 @@ class ScenarioConfig:
 
     def loop_params(self) -> LoopParams:
         loop = self.data["loop"]
-        params = LoopParams(
-            k_pd_v_per_rad=loop["k_pd_v_per_rad"],
-            k_lf_v_per_v=loop["k_lf_v_per_v"],
-            k_driver_v_per_v=loop["k_driver_v_per_v"],
-            k_ps_rad_per_v=loop["k_ps_rad_per_v"],
-            f_lf_zero_hz=loop["f_lf_zero_hz"],
-            f_lf_pole_hz=loop["f_lf_pole_hz"],
-            f_ps_hz=loop["f_ps_hz"],
-        )
+        params = LoopParams(**{key: loop[key] for key in _LOOP_KEYS})
         if "closed_loop_bw_hz" in loop:
             params = scale_to_closed_loop_bandwidth(params, loop["closed_loop_bw_hz"])
         return params

@@ -35,6 +35,7 @@ from .channel import (
 from .constellation import OffsetQamConstellation, average_symbol_energy
 
 DEFAULT_AVERAGING_CUTOFF_HZ = 1e9
+HYSTERESIS_FRACTION = 0.01
 LOCK_TOLERANCE_RAD = math.radians(1.0)
 
 
@@ -202,171 +203,59 @@ def _finish_report(t, psi, dphi, err, method, metadata) -> LockReport:
     )
 
 
-def simulate_lock(
-    scenario: ChannelScenario,
-    constellation: OffsetQamConstellation,
-    params: LoopParams,
-    method: DetectorMethod,
-    duration_s: float,
-    seed: int,
-    *,
-    decimation: int = 1000,
-    samples_per_symbol: int = 2,
-    averaging_cutoff_hz: float = DEFAULT_AVERAGING_CUTOFF_HZ,
-    data_path: str = "symbols",
-    actuator_range_rad: float | None = None,
-    hysteresis_fraction: float = 0.01,
-    balanced_data: bool = True,
-    phase_drive=None,
-) -> LockReport:
-    """Closed-loop lock acquisition on a decimated loop grid.
+def _averaged_blocks(a0: float, dt_loop: float):
+    """Block source of the averaged data path (noiseless, one update per step).
 
-    The data path rotates random symbols by the instantaneous phase error
-    and extracts the block-averaged I/Q voltages; the detector output is
-    scaled by k_pd / (2 a0) so its small-signal slope matches the
-    configured detector gain, then drives the loop filter, driver, and
-    phase shifter once per block of ``decimation`` symbols (rounded up to
-    a multiple of the level count).
-
-    ``balanced_data`` draws each axis's levels as a seeded permutation of
-    an exactly DC-balanced multiset per block, matching the DC-balanced
-    line-coding assumption behind average-power phase detection; without
-    it, pattern ripple adds phase jitter well above the sub-mrad
-    steady-state error.  ``data_path="averaged"`` replaces the
-    symbol-level block with the deterministic averaged voltages
-    a0*(cos+sin), a0*(cos-sin) (no AWGN), which keeps the loop dynamics
-    identical and is useful for long runs and small-signal
-    characterization.  ``phase_drive`` is an optional callable t -> rad
-    added to the input phase for loop-response probing.
-
-    Non-convergence shows up as ``locked=False`` in the report, never as
-    an exception.
+    Receives (input phase, psi) and yields (i_avg, q_avg, dphi): the
+    averaging low-pass driven by a0*(cos+sin), a0*(cos-sin).
     """
-    if constellation.a0 <= 0:
-        raise ValueError("offset-QAM phase detection requires a0 > 0")
-    if data_path not in ("symbols", "averaged"):
-        raise ValueError(f"unknown data_path {data_path!r}")
-    if decimation < 1:
-        raise ValueError("decimation must be >= 1")
-    side = constellation.side
-    if data_path == "symbols":
-        # Round the block up to a multiple of the level count so each axis
-        # can carry an exactly DC-balanced level multiset per loop update
-        # (see balanced_data below).
-        decimation = ((decimation + side - 1) // side) * side
+    a_avg = math.exp(-2.0 * math.pi * DEFAULT_AVERAGING_CUTOFF_HZ * dt_loop)
+    i_avg = q_avg = 0.0
+    block = None
+    while True:
+        phi_in, psi = yield block
+        dphi = phi_in - psi
+        ci, si = math.cos(dphi), math.sin(dphi)
+        i_avg = a_avg * i_avg + (1.0 - a_avg) * a0 * (ci + si)
+        q_avg = a_avg * q_avg + (1.0 - a_avg) * a0 * (ci - si)
+        block = (i_avg, q_avg, dphi)
 
-    dt_loop = decimation / scenario.baud_rate_hz
-    metrics = analysis.bode_metrics(params)
-    if metrics.crossover_hz is not None and dt_loop * metrics.crossover_hz > 1 / 50:
-        raise ValueError(
-            f"loop step {dt_loop:g} s too coarse for crossover "
-            f"{metrics.crossover_hz:g} Hz: need dt_loop <= 1/(50*crossover)"
-        )
-    n_blocks = int(round(duration_s / dt_loop))
-    if n_blocks < 20:
-        raise ValueError("duration must span at least 20 loop updates")
 
+def _symbol_blocks(
+    scenario, constellation, seed, decimation, samples_per_symbol, noise_sigma
+):
+    """Block source of the symbol-level data path.
+
+    Receives (input phase, psi) and yields (i_avg, q_avg, dphi) for one
+    block of ``decimation`` symbols: rotation by the per-sample phase
+    error, optional photodetector filter and AWGN, then the block mean of
+    the averaging low-pass; dphi is the phase error of the last sample.
+    """
     a0 = constellation.a0
-    error_scale = params.k_pd_v_per_rad / (2.0 * a0)
-    comparator = HystereticSign(threshold=hysteresis_fraction * 2.0 * a0)
-    lf_state = FirstOrderState()
-    ps_state = FirstOrderState()
+    dt_samp = 1.0 / (scenario.baud_rate_hz * samples_per_symbol)
+    n_samp = decimation * samples_per_symbol
+    # Each axis carries a seeded permutation of an exactly DC-balanced
+    # level multiset per block, matching the DC-balanced line-coding
+    # assumption behind average-power phase detection; i.i.d. levels would
+    # add pattern-ripple jitter well above the sub-mrad steady-state error.
+    balanced_base = np.repeat(constellation.levels, decimation // constellation.side)
 
     rng = stream_rng(seed, 0x10C)
     tau = scenario.mismatch.tau_s
     noisy = scenario.laser.linewidth_hz > 0 and tau > 0
-
-    t_rec = np.arange(n_blocks) * dt_loop
-    psi_rec = np.empty(n_blocks)
-    dphi_rec = np.empty(n_blocks)
-    err_rec = np.empty(n_blocks)
-
-    psi = 0.0
-
-    if data_path == "averaged":
-        # One loop update per step; beat-phase samples are drawn i.i.d.
-        # when the loop step exceeds the differential delay (independent
-        # Wiener increments), else by integer-sample delay differencing.
-        sig_iid = math.sqrt(2.0 * math.pi * scenario.laser.linewidth_hz * tau) if noisy else 0.0
-        use_iid = noisy and dt_loop >= tau
-        d = 0 if not noisy or use_iid else delay_in_samples(tau, dt_loop)
-        sig_inc = math.sqrt(2.0 * math.pi * scenario.laser.linewidth_hz * dt_loop)
-        hist = np.zeros(max(d, 1))
-        phi_last = 0.0
-        a_avg = math.exp(-2.0 * math.pi * averaging_cutoff_hz * dt_loop)
-        i_avg = q_avg = 0.0
-        for k in range(n_blocks):
-            theta = 0.0
-            if noisy:
-                if use_iid:
-                    theta = rng.normal(0.0, sig_iid)
-                else:
-                    phi_last += rng.normal(0.0, sig_inc)
-                    theta = phi_last - hist[k % d]
-                    hist[k % d] = phi_last
-            phi_in = scenario.phi_offset_rad + theta
-            if phase_drive is not None:
-                phi_in += phase_drive(t_rec[k])
-            dphi = phi_in - psi
-            ci, si = math.cos(dphi), math.sin(dphi)
-            i_avg = a_avg * i_avg + (1.0 - a_avg) * a0 * (ci + si)
-            q_avg = a_avg * q_avg + (1.0 - a_avg) * a0 * (ci - si)
-
-            if method is DetectorMethod.METHOD1:
-                sel = comparator.update(i_avg + q_avg)
-                e_raw = -sel * (i_avg - q_avg)
-            else:
-                e_raw = error_method2(i_avg, q_avg)
-            e_v = error_scale * e_raw
-            # Negative-slope detector, inverting driver path: net feedback
-            # pulls psi toward the input phase.
-            v_lf = step_loop_filter(lf_state, -e_v, dt_loop, params)
-            psi_new = step_phase_shifter(
-                ps_state, params.k_driver_v_per_v * v_lf, dt_loop, params,
-                actuator_range_rad,
-            )
-            psi_rec[k] = psi
-            dphi_rec[k] = dphi
-            err_rec[k] = e_v
-            psi = psi_new
-        return _finish_report(
-            t_rec, psi_rec, dphi_rec, err_rec, method,
-            {"data_path": "averaged", "dt_loop_s": dt_loop},
-        )
-
-    # Symbol-level data path.
-    dt_samp = 1.0 / (scenario.baud_rate_hz * samples_per_symbol)
-    n_samp = decimation * samples_per_symbol
-    levels = constellation.levels
-    balanced_base = np.repeat(levels, decimation // side)
-
-    n0 = scenario.n0
-    if scenario.snr_db is not None:
-        n0 = average_symbol_energy(constellation) / 10.0 ** (scenario.snr_db / 10.0)
-    noise_sigma = math.sqrt(n0 / 2.0) if n0 else 0.0
-
     d = delay_in_samples(tau, dt_samp) if noisy else 0
     sig_inc = math.sqrt(2.0 * math.pi * scenario.laser.linewidth_hz * dt_samp)
     phase_tail = np.zeros(d)
     phi_last = 0.0
 
-    pd_zi_i = pd_zi_q = None
-    avg_zi_i = np.zeros(1)
-    avg_zi_q = np.zeros(1)
+    pd_zi_i = pd_zi_q = avg_zi_i = avg_zi_q = None  # zero initial filter state
 
-    for k in range(n_blocks):
-        if balanced_data:
-            i_lv = rng.permutation(balanced_base)
-            q_lv = rng.permutation(balanced_base)
-        else:
-            i_lv = rng.choice(levels, decimation)
-            q_lv = rng.choice(levels, decimation)
-        i_sym = np.repeat(i_lv, samples_per_symbol)
-        q_sym = np.repeat(q_lv, samples_per_symbol)
+    block = None
+    while True:
+        phi_in0, psi = yield block
+        i_sym = np.repeat(rng.permutation(balanced_base), samples_per_symbol)
+        q_sym = np.repeat(rng.permutation(balanced_base), samples_per_symbol)
 
-        phi_in0 = scenario.phi_offset_rad
-        if phase_drive is not None:
-            phi_in0 += phase_drive(t_rec[k])
         if noisy:
             block_phase = phi_last + np.cumsum(rng.normal(0.0, sig_inc, n_samp))
             full = np.concatenate((phase_tail, block_phase))
@@ -388,10 +277,6 @@ def simulate_lock(
         q_rx = y * ci - x * si
 
         if scenario.pd_bandwidth_hz is not None:
-            a_pd = math.exp(-2.0 * math.pi * scenario.pd_bandwidth_hz * dt_samp)
-            if pd_zi_i is None:
-                pd_zi_i = np.zeros(1)
-                pd_zi_q = np.zeros(1)
             i_rx, pd_zi_i = one_pole_lowpass(i_rx, dt_samp, scenario.pd_bandwidth_hz, pd_zi_i)
             q_rx, pd_zi_q = one_pole_lowpass(q_rx, dt_samp, scenario.pd_bandwidth_hz, pd_zi_q)
 
@@ -399,13 +284,109 @@ def simulate_lock(
             i_rx = i_rx + rng.normal(0.0, noise_sigma, n_samp)
             q_rx = q_rx + rng.normal(0.0, noise_sigma, n_samp)
 
-        i_f, avg_zi_i = one_pole_lowpass(i_rx, dt_samp, averaging_cutoff_hz, avg_zi_i)
-        q_f, avg_zi_q = one_pole_lowpass(q_rx, dt_samp, averaging_cutoff_hz, avg_zi_q)
+        i_f, avg_zi_i = one_pole_lowpass(i_rx, dt_samp, DEFAULT_AVERAGING_CUTOFF_HZ, avg_zi_i)
+        q_f, avg_zi_q = one_pole_lowpass(q_rx, dt_samp, DEFAULT_AVERAGING_CUTOFF_HZ, avg_zi_q)
         # Block mean rather than an end-point sample: the physical loop
         # filter integrates continuously, so sampling the instantaneous
         # average would alias broadband pattern ripple into the loop.
-        i_avg = float(i_f.mean())
-        q_avg = float(q_f.mean())
+        block = (float(i_f.mean()), float(q_f.mean()), dphi_end)
+
+
+def simulate_lock(
+    scenario: ChannelScenario,
+    constellation: OffsetQamConstellation,
+    params: LoopParams,
+    method: DetectorMethod,
+    duration_s: float,
+    seed: int,
+    *,
+    decimation: int = 1000,
+    samples_per_symbol: int = 2,
+    data_path: str = "symbols",
+    actuator_range_rad: float | None = None,
+    phase_drive=None,
+) -> LockReport:
+    """Closed-loop lock acquisition on a decimated loop grid.
+
+    The data path rotates random symbols by the instantaneous phase error
+    and extracts the block-averaged I/Q voltages; the detector output is
+    scaled by k_pd / (2 a0) so its small-signal slope matches the
+    configured detector gain, then drives the loop filter, driver, and
+    phase shifter once per block of ``decimation`` symbols (rounded up to
+    a multiple of the level count, so each axis carries DC-balanced data).
+    The averaging low-pass has a fixed 1 GHz cutoff and the method-1
+    comparator a hysteresis of 1% of 2 a0.
+
+    ``data_path="averaged"`` replaces the symbol-level block with the
+    deterministic averaged voltages a0*(cos+sin), a0*(cos-sin) (no AWGN,
+    no photodetector filter), which keeps the loop dynamics identical and
+    is useful for long runs and small-signal characterization; a scenario
+    with beat phase noise is rejected there.  ``actuator_range_rad``
+    clamps the phase shifter output.  ``phase_drive`` is an optional
+    callable t -> rad added to the input phase for loop-response probing.
+
+    Non-convergence shows up as ``locked=False`` in the report, never as
+    an exception.
+    """
+    if constellation.a0 <= 0:
+        raise ValueError("offset-QAM phase detection requires a0 > 0")
+    if data_path not in ("symbols", "averaged"):
+        raise ValueError(f"unknown data_path {data_path!r}")
+    if decimation < 1:
+        raise ValueError("decimation must be >= 1")
+    if data_path == "averaged" and scenario.laser.linewidth_hz > 0 and scenario.mismatch.tau_s > 0:
+        raise ValueError("the averaged data path has no phase noise; use data_path='symbols'")
+    if data_path == "symbols":
+        side = constellation.side
+        decimation = ((decimation + side - 1) // side) * side
+
+    dt_loop = decimation / scenario.baud_rate_hz
+    metrics = analysis.bode_metrics(params)
+    if metrics.crossover_hz is not None and dt_loop * metrics.crossover_hz > 1 / 50:
+        raise ValueError(
+            f"loop step {dt_loop:g} s too coarse for crossover "
+            f"{metrics.crossover_hz:g} Hz: need dt_loop <= 1/(50*crossover)"
+        )
+    n_blocks = int(round(duration_s / dt_loop))
+    if n_blocks < 20:
+        raise ValueError("duration must span at least 20 loop updates")
+
+    a0 = constellation.a0
+    if data_path == "averaged":
+        source = _averaged_blocks(a0, dt_loop)
+        metadata = {"data_path": "averaged", "dt_loop_s": dt_loop}
+    else:
+        n0 = scenario.n0
+        if scenario.snr_db is not None:
+            n0 = average_symbol_energy(constellation) / 10.0 ** (scenario.snr_db / 10.0)
+        noise_sigma = math.sqrt(n0 / 2.0) if n0 else 0.0
+        source = _symbol_blocks(
+            scenario, constellation, seed, decimation, samples_per_symbol, noise_sigma
+        )
+        metadata = {
+            "data_path": "symbols",
+            "dt_loop_s": dt_loop,
+            "samples_per_symbol": samples_per_symbol,
+            "n0": n0,
+        }
+    next(source)
+
+    error_scale = params.k_pd_v_per_rad / (2.0 * a0)
+    comparator = HystereticSign(threshold=HYSTERESIS_FRACTION * 2.0 * a0)
+    lf_state = FirstOrderState()
+    ps_state = FirstOrderState()
+
+    t_rec = np.arange(n_blocks) * dt_loop
+    psi_rec = np.empty(n_blocks)
+    dphi_rec = np.empty(n_blocks)
+    err_rec = np.empty(n_blocks)
+
+    psi = 0.0
+    for k in range(n_blocks):
+        phi_in = scenario.phi_offset_rad
+        if phase_drive is not None:
+            phi_in += phase_drive(t_rec[k])
+        i_avg, q_avg, dphi = source.send((phi_in, psi))
 
         if method is DetectorMethod.METHOD1:
             sel = comparator.update(i_avg + q_avg)
@@ -413,22 +394,16 @@ def simulate_lock(
         else:
             e_raw = error_method2(i_avg, q_avg)
         e_v = error_scale * e_raw
+        # Negative-slope detector, inverting driver path: net feedback
+        # pulls psi toward the input phase.
         v_lf = step_loop_filter(lf_state, -e_v, dt_loop, params)
         psi_new = step_phase_shifter(
             ps_state, params.k_driver_v_per_v * v_lf, dt_loop, params,
             actuator_range_rad,
         )
         psi_rec[k] = psi
-        dphi_rec[k] = dphi_end
+        dphi_rec[k] = dphi
         err_rec[k] = e_v
         psi = psi_new
 
-    return _finish_report(
-        t_rec, psi_rec, dphi_rec, err_rec, method,
-        {
-            "data_path": "symbols",
-            "dt_loop_s": dt_loop,
-            "samples_per_symbol": samples_per_symbol,
-            "n0": n0,
-        },
-    )
+    return _finish_report(t_rec, psi_rec, dphi_rec, err_rec, method, metadata)

@@ -10,13 +10,12 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .ber import KP4_BER_THRESHOLD
 from .reports import read_csv
 
 WIDTH, HEIGHT = 660.0, 440.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 84.0, 24.0, 40.0, 56.0
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
-
-KP4_LINE = 2.4e-4
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -96,7 +95,7 @@ def emit_svg(csv_report, plot_spec: dict, out_path: str | Path) -> Path:
     logy = bool(plot_spec.get("logy", False))
     threshold = plot_spec.get("threshold")
     if plot_spec.get("kp4_line"):
-        threshold = KP4_LINE
+        threshold = KP4_BER_THRESHOLD
 
     curves = []  # (label, xs, ys)
     labels = plot_spec.get("labels") or []

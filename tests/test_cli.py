@@ -84,6 +84,26 @@ class TestCliCommands:
         assert rc == 2
         assert "linewidth_hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("run", "decimation", 0),
+            ("run", "decimation", "a"),
+            ("run", "decimation", True),
+            ("run", "samples_per_symbol", 0),
+            ("run", "samples_per_symbol", 2.5),
+            ("run", "num_symbols", True),
+            ("modulation", "m_ratio", 0),
+        ],
+    )
+    def test_bad_lock_input_exit_2(self, tmp_path, capsys, section, key, value):
+        cfg = {"modulation": {"order": 4}, "run": {"mode": "lock", "duration_s": 2e-5}}
+        cfg[section][key] = value
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert key in err and "Traceback" not in err
+
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BER_CFG))
         cfg["loop"] = {"closed_loop_bw_hz": 1e30}

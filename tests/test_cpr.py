@@ -196,11 +196,16 @@ class TestSimulateLock:
         assert rep.lock_point_rad == 0.0
         assert rep.residual_rad == pytest.approx(analytic, rel=0.05)
 
-    def test_method2_locks(self):
+    @pytest.mark.parametrize(
+        "data_path, duration_s",
+        [("averaged", 4e-4), ("symbols", 1e-4)],
+        ids=["averaged", "symbols"],
+    )
+    def test_method2_locks(self, data_path, duration_s):
         c = build_constellation(4, 1.0, 0.1)
         rep = simulate_lock(
             self.scenario(0.3), c, DEFAULT_LOOP, DetectorMethod.METHOD2,
-            4e-4, seed=6, data_path="averaged",
+            duration_s, seed=6, data_path=data_path,
         )
         assert rep.locked
         assert rep.lock_point_rad == 0.0
@@ -216,7 +221,12 @@ class TestSimulateLock:
         assert rep.lock_point_rad == 0.0
         assert abs(rep.residual_rad) < math.radians(1.0)
 
-    def test_lock_tracks_phase_noise(self):
+    @pytest.mark.parametrize(
+        "receiver",
+        [{}, {"snr_db": 19.0, "pd_bandwidth_hz": 50e9}],
+        ids=["phase_noise_only", "awgn_pd_filter"],
+    )
+    def test_lock_tracks_phase_noise(self, receiver):
         c = build_constellation(4, 1.0, 0.1)
         sc = ChannelScenario(
             baud_rate_hz=100e9,
@@ -224,6 +234,7 @@ class TestSimulateLock:
             mismatch=PathMismatch(0.1),
             phi_offset_rad=0.0,
             seed=9,
+            **receiver,
         )
         rep = simulate_lock(sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1e-4, seed=9)
         assert rep.locked
@@ -259,6 +270,14 @@ class TestSimulateLock:
         c = build_constellation(4, 1.0, 0.0)
         with pytest.raises(ValueError, match="a0"):
             simulate_lock(self.scenario(), c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1e-4, 1)
+
+    def test_averaged_path_rejects_phase_noise(self):
+        c = build_constellation(4, 1.0, 0.1)
+        sc = self.scenario(laser=LaserModel(1e6), mismatch=PathMismatch(0.1))
+        with pytest.raises(ValueError, match="averaged"):
+            simulate_lock(
+                sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1e-4, 1, data_path="averaged"
+            )
 
     def test_rejects_too_coarse_loop_step(self):
         c = build_constellation(4, 1.0, 0.1)
