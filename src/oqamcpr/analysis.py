@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -262,20 +262,17 @@ def reference_discrepancies(
     """Compare computed metrics against externally supplied reference values.
 
     Returns one note per metric whose computed value deviates from the
-    reference by more than rel_tol.  Keys: crossover_hz,
-    phase_margin_deg, closed_loop_bw_hz, dc_gain.
+    reference by more than rel_tol.  Keys are BodeMetrics field names;
+    notes follow the field order, so a replayed manifest (whose keys are
+    sorted) writes them in the same order.
     """
-    computed = {
-        "crossover_hz": metrics.crossover_hz,
-        "phase_margin_deg": metrics.phase_margin_deg,
-        "closed_loop_bw_hz": metrics.closed_loop_bw_hz,
-        "dc_gain": metrics.dc_gain,
-    }
-    notes = []
-    for key, ref in reference.items():
+    computed = asdict(metrics)
+    for key in reference:
         if key not in computed:
             raise ValueError(f"unknown reference metric {key!r}")
-        got = computed[key]
+    notes = []
+    for key in (k for k in computed if k in reference):
+        got, ref = computed[key], reference[key]
         if got is None:
             notes.append(f"{key}: computed value absent, reference {ref:g}")
         elif abs(got - ref) > rel_tol * abs(ref):

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import erfc, roots_legendre
 
 from .channel import stream_rng
-from .constellation import OffsetQamConstellation, average_symbol_energy
+from .constellation import OffsetQamConstellation, n0_from_snr_db
 from .errors import ConvergenceError
 
 KP4_BER_THRESHOLD = 2.4e-4
@@ -342,12 +342,10 @@ def snr_sweep(
     snr_db = np.asarray(snr_grid_db, dtype=float)
     if snr_db.ndim != 1 or snr_db.size < 2 or np.any(np.diff(snr_db) <= 0):
         raise ValueError("snr_grid_db must be strictly increasing with >= 2 points")
-    es = average_symbol_energy(c)
     ser = np.empty(snr_db.size)
     for i, snr in enumerate(snr_db):
-        n0 = es / 10.0 ** (snr / 10.0)
         ser[i] = semi_analytic_ser(
-            c, NoiseEnvironment(n0, sigma_pn_rad), quad_order=quad_order
+            c, NoiseEnvironment(n0_from_snr_db(c, snr), sigma_pn_rad), quad_order=quad_order
         )
     ber = ser / math.log2(c.order)
     meta = dict(metadata or {})
@@ -372,12 +370,11 @@ def required_snr_db(
     tol_db: float = 1e-3,
 ) -> float:
     """Es/N0 needed to reach the target BER (bisection, 1e-3 dB)."""
-    es = average_symbol_energy(c)
 
     def ber_at(snr_db: float) -> float:
-        n0 = es / 10.0 ** (snr_db / 10.0)
         return ber_from_ser(
-            semi_analytic_ser(c, NoiseEnvironment(n0, sigma_pn_rad)), c.order
+            semi_analytic_ser(c, NoiseEnvironment(n0_from_snr_db(c, snr_db), sigma_pn_rad)),
+            c.order,
         )
 
     if ber_at(lo_db) < ber_target or ber_at(hi_db) > ber_target:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from .constellation import OffsetQamConstellation, average_symbol_energy
+from .constellation import OffsetQamConstellation, n0_from_snr_db
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -33,6 +33,8 @@ def stream_rng(seed, *key) -> np.random.Generator:
     Extra key terms split one user-facing seed into independent
     sub-streams (per sweep point, per block, ...) without coordination.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key)))
 
 
@@ -118,6 +120,10 @@ class ChannelScenario:
         if self.pd_bandwidth_hz is not None and self.pd_bandwidth_hz <= 0:
             raise ValueError("pd_bandwidth_hz must be > 0")
 
+    def awgn_n0(self, c: OffsetQamConstellation) -> float | None:
+        """AWGN PSD: n0 as given, or derived from snr_db for constellation c."""
+        return self.n0 if self.snr_db is None else n0_from_snr_db(c, self.snr_db)
+
 
 def generate_phase_noise(
     laser: LaserModel, dt_s: float, count: int, seed: int
@@ -154,8 +160,8 @@ def delay_in_samples(tau_s: float, dt_s: float) -> int:
     exact = abs(d * dt_s - tau_s) <= 1e-9 * tau_s and d >= 1
     if dt_s > tau_s / 4 and not exact:
         raise ValueError(
-            f"dt_s={dt_s:g} too coarse for tau={tau_s:g}: need dt <= tau/4 "
-            "or a dt that divides tau exactly"
+            f"dt_s={dt_s:g} too coarse for the mismatch delay tau={tau_s:g} "
+            "(from delta_l_m): need dt <= tau/4 or a dt that divides tau exactly"
         )
     return d
 
@@ -270,10 +276,7 @@ def received_trace(
         i_rx = pd_filter(i_rx, dt, scenario.pd_bandwidth_hz)
         q_rx = pd_filter(q_rx, dt, scenario.pd_bandwidth_hz)
 
-    n0 = scenario.n0
-    if scenario.snr_db is not None:
-        es = average_symbol_energy(constellation)
-        n0 = es / 10.0 ** (scenario.snr_db / 10.0)
+    n0 = scenario.awgn_n0(constellation)
     if n0:
         i_rx = add_awgn(i_rx, n0, scenario.seed)
         q_rx = add_awgn(q_rx, n0, scenario.seed + 1)

@@ -15,11 +15,10 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +26,13 @@ import numpy as np
 from . import __version__, analysis, phasenoise
 from .ber import snr_sweep
 from .channel import received_trace
-from .config import ScenarioConfig, load_config, set_by_path, validate_config
+from .config import ScenarioConfig, load_config, sweep_variants, validate_config
 from .cpr import simulate_lock
 from .errors import ConfigError, ConvergenceError
 from .presets import PRESETS, list_presets, preset_config
 from .reports import (
     format_number,
     resolve_output_dir,
-    value_slug,
     write_csv,
     write_manifest,
 )
@@ -73,12 +71,7 @@ def _run_bode(sc: ScenarioConfig, outdir: Path, label: str):
     mag_db = 20.0 * np.log10(np.abs(h))
     phase_deg = analysis.open_loop_phase_deg(params, grid)
     metrics_obj = analysis.bode_metrics(params)
-    metrics = {
-        "dc_gain": metrics_obj.dc_gain,
-        "crossover_hz": metrics_obj.crossover_hz,
-        "phase_margin_deg": metrics_obj.phase_margin_deg,
-        "closed_loop_bw_hz": metrics_obj.closed_loop_bw_hz,
-    }
+    metrics = asdict(metrics_obj)
     notes = []
     reference = sc.data["run"].get("reference_metrics")
     if reference:
@@ -236,7 +229,7 @@ _MODE_RUNNERS = {
 
 def _resolve_source(source) -> tuple[dict, str | None]:
     if isinstance(source, dict):
-        return validate_config(copy.deepcopy(source)), None
+        return validate_config(source), None
     name = str(source)
     if name in PRESETS:
         return validate_config(preset_config(name)), name
@@ -257,21 +250,13 @@ def run_scenario(source, output_dir: str | None = None) -> RunResult:
     mode = run["mode"]
     runner = _MODE_RUNNERS[mode]
 
-    variants: list[tuple[str, dict]] = []
-    if "sweep" in run:
-        key = run["sweep"]["key"]
-        for value in run["sweep"]["values"]:
-            variant = copy.deepcopy(cfg)
-            variant["run"].pop("sweep", None)
-            set_by_path(variant, key, value)
-            variants.append((f"{label}_{value_slug(value)}", variant))
-    else:
-        variants.append((label, cfg))
+    variants = sweep_variants(cfg)
+    runs = [(f"{label}_{slug}", v) for slug, v in variants.items()] or [(label, cfg)]
 
     result = RunResult()
     per_variant_metrics = {}
     plot_spec = None
-    for variant_label, variant_cfg in variants:
+    for variant_label, variant_cfg in runs:
         files, metrics, notes, plot_spec = runner(
             ScenarioConfig(variant_cfg), outdir, variant_label
         )
@@ -279,11 +264,7 @@ def run_scenario(source, output_dir: str | None = None) -> RunResult:
         result.notes.extend(notes)
         per_variant_metrics[variant_label] = metrics
 
-    result.metrics = (
-        per_variant_metrics[label]
-        if len(variants) == 1
-        else per_variant_metrics
-    )
+    result.metrics = per_variant_metrics if variants else per_variant_metrics[label]
 
     if run.get("svg") and plot_spec is not None:
         csvs = [f for f in result.files if f.suffix == ".csv"]
@@ -327,10 +308,7 @@ def _cmd_plot(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load plot spec {args.spec}: {exc}") from exc
     out = args.output or str(Path(args.csv).with_suffix(".svg"))
-    try:
-        emit_svg(args.csv, spec, out)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    emit_svg(args.csv, spec, out)
     print(out)
     return 0
 
@@ -360,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and domain rejections alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -1,9 +1,10 @@
 """Scenario configuration: JSON schema, validation, and domain-object glue.
 
 A scenario file is a single JSON object with the sections below; every
-physical quantity carries its unit in the key name.  Unknown keys are
-rejected with the offending key named and, where possible, the line in
-the source file.  ``docs/formats.md`` documents the full schema.
+physical quantity carries its unit in the key name.  ``SCHEMA`` gives
+every key's default and rule once; unknown keys and values that break a
+rule are rejected with the offending key named and, where possible, the
+line in the source file.  ``docs/formats.md`` documents the full schema.
 """
 
 from __future__ import annotations
@@ -11,50 +12,21 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .analysis import DEFAULT_LOOP, LoopParams, scale_to_closed_loop_bandwidth
-from .channel import ChannelScenario, LaserModel, PathMismatch
+from .analysis import DEFAULT_LOOP, BodeMetrics, LoopParams, scale_to_closed_loop_bandwidth
+from .channel import DEFAULT_REFRACTIVE_INDEX, ChannelScenario, LaserModel, PathMismatch
 from .constellation import SUPPORTED_ORDERS, OffsetQamConstellation, build_constellation
 from .cpr import DetectorMethod
 from .errors import ConfigError
+from .reports import value_slug
 
 MODES = ("lock", "bode", "psd", "ber-sweep", "trace")
-_LOOP_KEYS = tuple(f.name for f in fields(LoopParams))
+_REFERENCE_KEYS = tuple(f.name for f in fields(BodeMetrics))
 
-DEFAULTS = {
-    "modulation": {"order": None, "a_oma": 1.0},
-    "laser": {"linewidth_hz": 0.0},
-    "mismatch": {"delta_l_m": 0.0, "refractive_index": 1.468},
-    "loop": {**asdict(DEFAULT_LOOP), "detector_method": "method1"},
-    "channel": {"baud_rate_hz": 100e9, "phi_offset_rad": 0.0},
-    "run": {"mode": None, "seed": 1, "svg": False, "label": None},
-}
-
-_ALLOWED = {
-    "modulation": {"order", "a_oma", "a0", "m_ratio"},
-    "laser": {"linewidth_hz"},
-    "mismatch": {"delta_l_m", "refractive_index"},
-    "loop": {*_LOOP_KEYS, "detector_method", "closed_loop_bw_hz"},
-    "channel": {"baud_rate_hz", "snr_db", "n0", "pd_bandwidth_hz", "phi_offset_rad"},
-    "run": {
-        "mode",
-        "seed",
-        "svg",
-        "label",
-        "output_dir",
-        "duration_s",
-        "decimation",
-        "samples_per_symbol",
-        "num_symbols",
-        "snr_grid_db",
-        "sweep",
-        "reference_metrics",
-    },
-}
-
-_SWEEPABLE = {
+_SWEEPABLE = (
     "laser.linewidth_hz",
     "mismatch.delta_l_m",
     "mismatch.refractive_index",
@@ -64,6 +36,87 @@ _SWEEPABLE = {
     "loop.closed_loop_bw_hz",
     "channel.snr_db",
     "channel.phi_offset_rad",
+)
+
+
+def _is_number(v) -> bool:
+    """A JSON number (not a bool) that converts to a finite float; rejects NaN."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _is_grid(g) -> bool:
+    if isinstance(g, list):
+        return len(g) >= 2 and all(map(_is_number, g)) and all(a < b for a, b in zip(g, g[1:]))
+    if not isinstance(g, dict) or set(g) != {"start", "stop", "step"}:
+        return False
+    if not all(map(_is_number, g.values())) or g["step"] <= 0:
+        return False
+    span = (g["stop"] - g["start"]) / g["step"]  # >= 2 points, as in ScenarioConfig.snr_grid_db
+    return math.isfinite(span) and span + 1e-9 >= 1
+
+
+def _one_of(choices):
+    return (f"one of {list(choices)}", lambda v: v in choices)
+
+
+# A rule is (description, predicate); the description completes "must be ...".
+NUMBER = ("a finite number", _is_number)
+POSITIVE = ("a finite number > 0", lambda v: _is_number(v) and v > 0)
+NON_NEGATIVE = ("a finite number >= 0", lambda v: _is_number(v) and v >= 0)
+COUNT = ("a positive integer", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1)
+TEXT = ("a string or null", lambda v: v is None or isinstance(v, str))
+GRID = ("a strictly increasing list of >= 2 finite numbers, or "
+        "{start, stop, step} with step > 0 spanning >= 2 points", _is_grid)
+SWEEP = (f"{{'key': <one of {sorted(_SWEEPABLE)}>, 'values': [<one or more values>]}}",
+         lambda v: isinstance(v, dict) and set(v) == {"key", "values"} and v["key"] in _SWEEPABLE
+         and isinstance(v["values"], list) and len(v["values"]) > 0)
+REFERENCE = (f"an object mapping some of {list(_REFERENCE_KEYS)} to finite nonzero numbers",
+             lambda v: isinstance(v, dict) and all(
+                 k in _REFERENCE_KEYS and _is_number(x) and x != 0 for k, x in v.items()))
+
+REQUIRED = object()  # the key must be given
+OPTIONAL = object()  # the key may be absent and gets no default
+
+# The scenario schema: section -> key -> (default, REQUIRED or OPTIONAL; rule).
+# m_ratio's default applies only when a0 is not given (see _resolve).
+SCHEMA = {
+    "modulation": {
+        "order": (REQUIRED, _one_of(SUPPORTED_ORDERS)),
+        "a_oma": (1.0, POSITIVE),
+        "a0": (OPTIONAL, NON_NEGATIVE),
+        "m_ratio": (0.1, NON_NEGATIVE),
+    },
+    "laser": {"linewidth_hz": (0.0, NON_NEGATIVE)},
+    "mismatch": {
+        "delta_l_m": (0.0, NON_NEGATIVE),
+        "refractive_index": (DEFAULT_REFRACTIVE_INDEX, POSITIVE),
+    },
+    "loop": {
+        **{key: (value, POSITIVE) for key, value in asdict(DEFAULT_LOOP).items()},
+        "detector_method": ("method1", _one_of([m.value for m in DetectorMethod])),
+        "closed_loop_bw_hz": (OPTIONAL, POSITIVE),
+    },
+    "channel": {
+        "baud_rate_hz": (100e9, POSITIVE),
+        "snr_db": (OPTIONAL, NUMBER),
+        "n0": (OPTIONAL, NON_NEGATIVE),
+        "pd_bandwidth_hz": (OPTIONAL, POSITIVE),
+        "phi_offset_rad": (0.0, NUMBER),
+    },
+    "run": {
+        "mode": (REQUIRED, _one_of(MODES)),
+        "seed": (1, ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))),
+        "svg": (False, ("true or false", lambda v: isinstance(v, bool))),
+        "label": (None, TEXT),
+        "output_dir": (OPTIONAL, TEXT),
+        "duration_s": (OPTIONAL, POSITIVE),
+        "decimation": (OPTIONAL, COUNT),
+        "samples_per_symbol": (OPTIONAL, COUNT),
+        "num_symbols": (OPTIONAL, COUNT),
+        "snr_grid_db": (OPTIONAL, GRID),
+        "sweep": (OPTIONAL, SWEEP),
+        "reference_metrics": (OPTIONAL, REFERENCE),
+    },
 }
 
 
@@ -80,134 +133,89 @@ def _fail(raw: str | None, key: str, message: str):
     raise ConfigError(f"config key {key!r}{_line_of(raw, key)}: {message}")
 
 
-def _require_number(raw, section, key, value, minimum=None, positive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(raw, key, f"expected a number in section {section!r}")
-    if positive and value <= 0:
-        _fail(raw, key, "must be > 0")
-    if minimum is not None and value < minimum:
-        _fail(raw, key, f"must be >= {minimum}")
-    if not math.isfinite(value):
-        _fail(raw, key, "must be finite")
+def _resolve(data: dict, raw: str | None) -> dict:
+    """Check one scenario (no sweep expansion) against SCHEMA and resolve it."""
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    for section, given in data.items():
+        if section not in SCHEMA:
+            _fail(raw, section, f"unknown section; expected one of {sorted(SCHEMA)}")
+        if not isinstance(given, dict):
+            _fail(raw, section, "section must be an object")
+        for key in given:
+            if key not in SCHEMA[section]:
+                expected = sorted(SCHEMA[section])
+                _fail(raw, key, f"unknown key in section {section!r}; expected one of {expected}")
+
+    cfg = {}
+    for section, table in SCHEMA.items():
+        given = data.get(section, {})
+        cfg[section] = values = {}
+        for key, (default, (description, ok)) in table.items():
+            if key in given:
+                if not ok(given[key]):
+                    _fail(raw, key, f"{section}.{key} must be {description}")
+                values[key] = copy.deepcopy(given[key])
+            elif default is REQUIRED:
+                _fail(raw, key, f"{section}.{key} is required")
+            elif default is not OPTIONAL:
+                values[key] = default
+
+    mod = cfg["modulation"]
+    source = "a0" if "a0" in mod and "m_ratio" not in data["modulation"] else "m_ratio"
+    if source == "a0":
+        mod["m_ratio"] = mod["a0"] / mod["a_oma"]
+    elif "a0" not in mod:
+        mod["a0"] = mod["m_ratio"] * mod["a_oma"]
+    elif abs(mod["a0"] - mod["m_ratio"] * mod["a_oma"]) > 1e-9 * max(1.0, abs(mod["a0"])):
+        # Both appear in resolved configs written to manifests, and a0 is
+        # kept as given so a replay uses the same a0; reject only when
+        # they disagree.
+        _fail(raw, "a0", "a0 and m_ratio disagree; give one of them")
+    if "snr_db" in cfg["channel"] and "n0" in cfg["channel"]:
+        _fail(raw, "snr_db", "give snr_db or n0, not both")
+    if cfg["run"]["mode"] == "lock" and mod["a0"] == 0:
+        _fail(raw, source, "lock mode needs a0 = m_ratio * a_oma > 0")
+    return cfg
+
+
+def sweep_variants(cfg: dict, raw: str | None = None) -> dict[str, dict]:
+    """Resolved config of each sweep value, keyed by its value slug.
+
+    Each value must pass the swept key's rule and its variant the
+    cross-key rules; values whose slugs (output file tags) coincide are
+    rejected.  Without a sweep the result is empty.
+    """
+    sweep = cfg["run"].get("sweep")
+    if sweep is None:
+        return {}
+    dotted = sweep["key"]
+    section, key = dotted.split(".", 1)
+    description, ok = SCHEMA[section][key][1]
+    variants = {}
+    for value in sweep["values"]:
+        if not ok(value):
+            _fail(raw, "sweep", f"value {value!r} of {dotted} must be {description}")
+        slug = value_slug(value)
+        if slug in variants:
+            _fail(raw, "sweep", f"values of {dotted} collide in the output tag {slug!r}")
+        variant = copy.deepcopy(cfg)
+        del variant["run"]["sweep"]
+        set_by_path(variant, dotted, value)
+        try:
+            variants[slug] = _resolve(variant, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep value {dotted} = {value!r}: {exc}") from exc
+    return variants
 
 
 def validate_config(data: dict, raw: str | None = None) -> dict:
-    """Check structure, fill defaults, and return the resolved config."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    for section in data:
-        if section not in _ALLOWED:
-            _fail(raw, section, f"unknown section; expected one of {sorted(_ALLOWED)}")
-        if not isinstance(data[section], dict):
-            _fail(raw, section, "section must be an object")
-        for key in data[section]:
-            if key not in _ALLOWED[section]:
-                _fail(
-                    raw,
-                    key,
-                    f"unknown key in section {section!r}; "
-                    f"expected one of {sorted(_ALLOWED[section])}",
-                )
+    """Check structure and values, fill defaults, and return the resolved config.
 
-    cfg = copy.deepcopy(DEFAULTS)
-    for section, values in data.items():
-        cfg[section].update(copy.deepcopy(values))
-
-    mod = cfg["modulation"]
-    if mod["order"] is None:
-        _fail(raw, "order", "modulation.order is required")
-    if mod["order"] not in SUPPORTED_ORDERS:
-        _fail(raw, "order", f"must be one of {SUPPORTED_ORDERS}")
-    _require_number(raw, "modulation", "a_oma", mod["a_oma"], positive=True)
-    if "a0" in mod and "m_ratio" in mod:
-        # Both appear in resolved configs written to manifests; reject
-        # only when they disagree.
-        if abs(mod["a0"] - mod["m_ratio"] * mod["a_oma"]) > 1e-9 * max(
-            1.0, abs(mod["a0"])
-        ):
-            _fail(raw, "a0", "a0 and m_ratio disagree; give one of them")
-        del mod["a0"]
-    if "a0" not in mod:
-        mod.setdefault("m_ratio", 0.1)
-    if "m_ratio" in mod:
-        _require_number(raw, "modulation", "m_ratio", mod["m_ratio"], minimum=0.0)
-        mod["a0"] = mod["m_ratio"] * mod["a_oma"]
-    else:
-        _require_number(raw, "modulation", "a0", mod["a0"], minimum=0.0)
-        mod["m_ratio"] = mod["a0"] / mod["a_oma"]
-
-    _require_number(raw, "laser", "linewidth_hz", cfg["laser"]["linewidth_hz"], minimum=0.0)
-    _require_number(raw, "mismatch", "delta_l_m", cfg["mismatch"]["delta_l_m"], minimum=0.0)
-    _require_number(
-        raw, "mismatch", "refractive_index", cfg["mismatch"]["refractive_index"], positive=True
-    )
-
-    loop = cfg["loop"]
-    for key in _LOOP_KEYS:
-        _require_number(raw, "loop", key, loop[key], positive=True)
-    if "closed_loop_bw_hz" in loop:
-        _require_number(raw, "loop", "closed_loop_bw_hz", loop["closed_loop_bw_hz"], positive=True)
-    if loop["detector_method"] not in ("method1", "method2"):
-        _fail(raw, "detector_method", "must be 'method1' or 'method2'")
-
-    chan = cfg["channel"]
-    _require_number(raw, "channel", "baud_rate_hz", chan["baud_rate_hz"], positive=True)
-    if "snr_db" in chan and "n0" in chan:
-        _fail(raw, "snr_db", "give snr_db or n0, not both")
-    if "n0" in chan:
-        _require_number(raw, "channel", "n0", chan["n0"], minimum=0.0)
-    if "snr_db" in chan:
-        _require_number(raw, "channel", "snr_db", chan["snr_db"])
-    if "pd_bandwidth_hz" in chan:
-        _require_number(raw, "channel", "pd_bandwidth_hz", chan["pd_bandwidth_hz"], positive=True)
-    _require_number(raw, "channel", "phi_offset_rad", chan["phi_offset_rad"])
-
-    run = cfg["run"]
-    if run["mode"] not in MODES:
-        _fail(raw, "mode", f"run.mode must be one of {MODES}")
-    if not isinstance(run["seed"], int) or isinstance(run["seed"], bool):
-        _fail(raw, "seed", "must be an integer")
-    if not isinstance(run["svg"], bool):
-        _fail(raw, "svg", "must be a boolean")
-    if run["label"] is not None and not isinstance(run["label"], str):
-        _fail(raw, "label", "must be a string")
-    if "sweep" in run:
-        sweep = run["sweep"]
-        if (
-            not isinstance(sweep, dict)
-            or set(sweep) != {"key", "values"}
-            or not isinstance(sweep["values"], list)
-            or not sweep["values"]
-        ):
-            _fail(raw, "sweep", "must be {'key': <dotted key>, 'values': [..]}")
-        if sweep["key"] not in _SWEEPABLE:
-            _fail(raw, "sweep", f"sweep key must be one of {sorted(_SWEEPABLE)}")
-    if "snr_grid_db" in run:
-        grid = run["snr_grid_db"]
-        ok = (
-            isinstance(grid, list)
-            and len(grid) >= 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid)
-        ) or (
-            isinstance(grid, dict)
-            and set(grid) == {"start", "stop", "step"}
-        )
-        if not ok:
-            _fail(raw, "snr_grid_db", "must be a list of values or {start, stop, step}")
-    if "duration_s" in run:
-        _require_number(raw, "run", "duration_s", run["duration_s"], positive=True)
-    for key in ("decimation", "samples_per_symbol", "num_symbols"):
-        value = run.get(key, 1)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            _fail(raw, key, "must be a positive integer")
-    if run["mode"] == "lock" and mod["a0"] == 0:
-        key = "m_ratio" if "m_ratio" in data["modulation"] else "a0"
-        _fail(raw, key, "lock mode needs a0 = m_ratio * a_oma > 0")
-    if "reference_metrics" in run:
-        ref = run["reference_metrics"]
-        allowed = {"crossover_hz", "phase_margin_deg", "closed_loop_bw_hz", "dc_gain"}
-        if not isinstance(ref, dict) or not set(ref) <= allowed:
-            _fail(raw, "reference_metrics", f"keys must be within {sorted(allowed)}")
+    A sweep is checked value by value here, before any variant runs.
+    """
+    cfg = _resolve(data, raw)
+    sweep_variants(cfg, raw)
     return cfg
 
 
@@ -216,7 +224,7 @@ def load_config(path: str | Path) -> dict:
     path = Path(path)
     try:
         raw = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(raw)
@@ -231,10 +239,11 @@ def set_by_path(cfg: dict, dotted: str, value):
     """Assign a sweep override like 'laser.linewidth_hz' into the config."""
     section, key = dotted.split(".", 1)
     cfg[section][key] = value
-    if dotted == "modulation.m_ratio":
-        cfg["modulation"]["a0"] = value * cfg["modulation"]["a_oma"]
-    if dotted == "modulation.a0":
-        cfg["modulation"]["m_ratio"] = value / cfg["modulation"]["a_oma"]
+    if section == "modulation":
+        # Drop the sibling that resolution derives from this key, so it is
+        # derived again: a0 from m_ratio, m_ratio from a0 or a_oma (an
+        # a_oma sweep thus keeps a0 fixed).
+        cfg[section].pop("a0" if key == "m_ratio" else "m_ratio", None)
 
 
 @dataclass(frozen=True)
@@ -242,10 +251,6 @@ class ScenarioConfig:
     """Resolved configuration with typed access to the domain objects."""
 
     data: dict
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ScenarioConfig":
-        return cls(load_config(path))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -257,7 +262,7 @@ class ScenarioConfig:
 
     def loop_params(self) -> LoopParams:
         loop = self.data["loop"]
-        params = LoopParams(**{key: loop[key] for key in _LOOP_KEYS})
+        params = LoopParams(**{f.name: loop[f.name] for f in fields(LoopParams)})
         if "closed_loop_bw_hz" in loop:
             params = scale_to_closed_loop_bandwidth(params, loop["closed_loop_bw_hz"])
         return params

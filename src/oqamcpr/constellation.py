@@ -132,6 +132,11 @@ def average_symbol_energy(c: OffsetQamConstellation) -> float:
     return float(np.mean(np.sum((c.points - c.a0) ** 2, axis=1)))
 
 
+def n0_from_snr_db(c: OffsetQamConstellation, snr_db: float) -> float:
+    """AWGN PSD n0 giving Es/N0 = snr_db (dB), Es the average symbol energy."""
+    return average_symbol_energy(c) / 10.0 ** (snr_db / 10.0)
+
+
 def map_bits(c: OffsetQamConstellation, bits) -> tuple[float, float]:
     """Map a bit vector (I sub-word first) to its absolute (i, q) point."""
     bits = np.asarray(bits, dtype=np.uint8)

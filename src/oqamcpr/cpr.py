@@ -32,7 +32,7 @@ from .channel import (
     one_pole_lowpass,
     stream_rng,
 )
-from .constellation import OffsetQamConstellation, average_symbol_energy
+from .constellation import OffsetQamConstellation
 
 DEFAULT_AVERAGING_CUTOFF_HZ = 1e9
 HYSTERESIS_FRACTION = 0.01
@@ -344,21 +344,19 @@ def simulate_lock(
     metrics = analysis.bode_metrics(params)
     if metrics.crossover_hz is not None and dt_loop * metrics.crossover_hz > 1 / 50:
         raise ValueError(
-            f"loop step {dt_loop:g} s too coarse for crossover "
+            f"loop step decimation/baud_rate_hz = {dt_loop:g} s too coarse for crossover "
             f"{metrics.crossover_hz:g} Hz: need dt_loop <= 1/(50*crossover)"
         )
     n_blocks = int(round(duration_s / dt_loop))
     if n_blocks < 20:
-        raise ValueError("duration must span at least 20 loop updates")
+        raise ValueError(f"duration_s={duration_s:g} must span at least 20 loop updates")
 
     a0 = constellation.a0
     if data_path == "averaged":
         source = _averaged_blocks(a0, dt_loop)
         metadata = {"data_path": "averaged", "dt_loop_s": dt_loop}
     else:
-        n0 = scenario.n0
-        if scenario.snr_db is not None:
-            n0 = average_symbol_energy(constellation) / 10.0 ** (scenario.snr_db / 10.0)
+        n0 = scenario.awgn_n0(constellation)
         noise_sigma = math.sqrt(n0 / 2.0) if n0 else 0.0
         source = _symbol_blocks(
             scenario, constellation, seed, decimation, samples_per_symbol, noise_sigma

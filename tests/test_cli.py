@@ -3,7 +3,7 @@ import json
 import pytest
 
 from oqamcpr.cli import main, run_scenario
-from oqamcpr.config import ScenarioConfig, load_config, validate_config
+from oqamcpr.config import ScenarioConfig, load_config, sweep_variants, validate_config
 from oqamcpr.errors import ConfigError
 from oqamcpr.presets import PRESETS, list_presets, preset_config
 from oqamcpr.reports import read_csv
@@ -21,6 +21,66 @@ BER_CFG = {
         "snr_grid_db": {"start": 6.0, "stop": 14.0, "step": 1.0},
     },
 }
+
+
+# Each case: changes merged into a short lock config, and the key the
+# error message must name.  The grid, sweep, reference and output_dir
+# cases used to end in a traceback; the lock-* cases are rejected at run
+# time by the simulation.
+BAD_INPUTS = [
+    pytest.param({"run": {"decimation": 0}}, "decimation", id="run-decimation-0"),
+    pytest.param({"run": {"decimation": "a"}}, "decimation", id="run-decimation-a"),
+    pytest.param({"run": {"decimation": True}}, "decimation", id="run-decimation-True"),
+    pytest.param({"run": {"samples_per_symbol": 0}}, "samples_per_symbol",
+                 id="run-samples_per_symbol-0"),
+    pytest.param({"run": {"samples_per_symbol": 2.5}}, "samples_per_symbol",
+                 id="run-samples_per_symbol-2.5"),
+    pytest.param({"run": {"num_symbols": True}}, "num_symbols", id="run-num_symbols-True"),
+    pytest.param({"modulation": {"m_ratio": 0}}, "m_ratio", id="modulation-m_ratio-0"),
+    *(
+        pytest.param({"run": {"mode": "ber-sweep", "snr_grid_db": grid}}, "snr_grid_db",
+                     id=f"grid-{tag}")
+        for tag, grid in [
+            ("step-0", {"start": 0, "stop": 4, "step": 0}),
+            ("step-a", {"start": 0, "stop": 4, "step": "a"}),
+            ("start-a", {"start": "a", "stop": 4, "step": 1}),
+            ("descending-list", [8, 4]),
+            ("descending-dict", {"start": 8, "stop": 4, "step": 1}),
+            ("negative-step", {"start": 8, "stop": 4, "step": -1}),
+            ("one-point", {"start": 4, "stop": 4.5, "step": 1}),
+            ("infinity", [4, float("inf")]),
+        ]
+    ),
+    *(
+        pytest.param({"run": {"sweep": {"key": dotted, "values": [1, value]}}, **extra},
+                     dotted.split(".")[1], id=f"sweep-{tag}")
+        for tag, dotted, value, extra in [
+            ("value-a", "laser.linewidth_hz", "a", {}),
+            ("value-true", "laser.linewidth_hz", True, {}),
+            ("linewidth-negative", "laser.linewidth_hz", -1, {}),
+            ("a_oma-0", "modulation.a_oma", 0, {}),
+            ("loop-bw-negative", "loop.closed_loop_bw_hz", -1, {}),
+            ("snr_db-with-n0", "channel.snr_db", 10, {"channel": {"n0": 0.01}}),
+            ("m_ratio-0", "modulation.m_ratio", 0, {}),
+        ]
+    ),
+    pytest.param({"run": {"sweep": {"key": "loop.closed_loop_bw_hz", "values": [1e6, 1.0000001e6]}}},
+                 "sweep", id="sweep-colliding-values"),
+    pytest.param({"run": {"sweep": {"key": "loop.closed_loop_bw_hz", "values": [1e6, 1e6]}}},
+                 "sweep", id="sweep-duplicate-values"),
+    pytest.param({"run": {"mode": "bode", "reference_metrics": {"crossover_hz": "x"}}},
+                 "reference_metrics", id="reference-not-a-number"),
+    pytest.param({"run": {"mode": "bode", "reference_metrics": {"crossover_hz": 0}}},
+                 "reference_metrics", id="reference-zero"),
+    pytest.param({"run": {"output_dir": 5}}, "output_dir", id="output_dir-5"),
+    pytest.param({"channel": {"baud_rate_hz": 10**400}}, "baud_rate_hz", id="number-beyond-float"),
+    pytest.param({"run": {"seed": -1}}, "seed", id="lock-seed-negative"),
+    pytest.param({"run": {"decimation": 1_000_000}}, "decimation", id="lock-decimation-coarse"),
+    pytest.param({"channel": {"baud_rate_hz": 1}}, "baud_rate_hz", id="lock-baud-1"),
+    pytest.param({"run": {"duration_s": 1e-9}}, "duration_s", id="lock-duration-short"),
+    pytest.param({"laser": {"linewidth_hz": 1e6}, "mismatch": {"delta_l_m": 1e-4}},
+                 "delta_l_m", id="lock-mismatch-below-sample-step"),
+]
 
 
 def write_cfg(tmp_path, cfg, name="scenario.json"):
@@ -84,25 +144,24 @@ class TestCliCommands:
         assert rc == 2
         assert "linewidth_hz" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "section, key, value",
-        [
-            ("run", "decimation", 0),
-            ("run", "decimation", "a"),
-            ("run", "decimation", True),
-            ("run", "samples_per_symbol", 0),
-            ("run", "samples_per_symbol", 2.5),
-            ("run", "num_symbols", True),
-            ("modulation", "m_ratio", 0),
-        ],
-    )
-    def test_bad_lock_input_exit_2(self, tmp_path, capsys, section, key, value):
+    @pytest.mark.parametrize("changes, key", BAD_INPUTS)
+    def test_bad_lock_input_exit_2(self, tmp_path, monkeypatch, capsys, changes, key):
         cfg = {"modulation": {"order": 4}, "run": {"mode": "lock", "duration_s": 2e-5}}
-        cfg[section][key] = value
-        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(tmp_path / "out")])
+        for section, values in changes.items():
+            cfg.setdefault(section, {}).update(values)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("OQAMCPR_OUTPUT_DIR", raising=False)
+        rc = main(["run", str(write_cfg(tmp_path, cfg))])
         err = capsys.readouterr().err
         assert rc == 2
         assert key in err and "Traceback" not in err
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"modulation": {"order": 4}, "run": {"label": "\xe9"}}'.encode("latin-1"))
+        rc = main(["run", str(path)])
+        assert rc == 2
+        assert "cannot read config" in capsys.readouterr().err
 
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BER_CFG))
@@ -129,6 +188,35 @@ class TestCliCommands:
         monkeypatch.setenv("OQAMCPR_OUTPUT_DIR", str(tmp_path / "envout"))
         result = run_scenario(BER_CFG)
         assert all(f.parent == tmp_path / "envout" for f in result.files)
+
+
+class TestSweeps:
+    def test_one_value_sweep_runs(self, tmp_path):
+        cfg = {
+            "modulation": {"order": 4},
+            "run": {"mode": "trace", "num_symbols": 20,
+                    "sweep": {"key": "channel.snr_db", "values": [12.0]}},
+        }
+        result = run_scenario(cfg, output_dir=str(tmp_path))
+        assert list(result.metrics) == ["trace_12"]
+        assert (tmp_path / "trace_12.csv").exists()
+
+    def test_a_oma_sweep_keeps_a0_fixed(self):
+        cfg = validate_config({
+            "modulation": {"order": 4, "m_ratio": 0.2},
+            "run": {"mode": "trace", "sweep": {"key": "modulation.a_oma", "values": [0.5, 1.0, 2.0]}},
+        })
+        variants = sweep_variants(cfg)
+        assert [v["modulation"]["a0"] for v in variants.values()] == [0.2, 0.2, 0.2]
+        assert [v["modulation"]["m_ratio"] for v in variants.values()] == [0.4, 0.2, 0.1]
+
+    def test_m_ratio_sweep_derives_a0(self):
+        cfg = validate_config({
+            "modulation": {"order": 4, "a_oma": 2.0, "a0": 0.2},
+            "run": {"mode": "trace", "sweep": {"key": "modulation.m_ratio", "values": [0.0, 0.25]}},
+        })
+        variants = sweep_variants(cfg)
+        assert [v["modulation"]["a0"] for v in variants.values()] == [0.0, 0.5]
 
 
 class TestRunOutputs:
@@ -188,6 +276,27 @@ class TestRunOutputs:
         assert [f.name for f in firsts] == [f.name for f in seconds]
         for fa, fb in zip(firsts, seconds):
             assert fa.read_bytes() == fb.read_bytes(), fa.name
+
+    def test_manifest_replay_keeps_given_a0(self, tmp_path):
+        # 0.465 / 0.734 * 0.734 != 0.465 in floating point.
+        cfg = {
+            "modulation": {"order": 16, "a_oma": 0.734, "a0": 0.465},
+            "channel": {"snr_db": 15.0},
+            "run": {"mode": "trace", "num_symbols": 50},
+        }
+        first = run_scenario(cfg, output_dir=str(tmp_path / "a"))
+        replay_cfg = json.loads(first.manifest.read_text())["config"]
+        assert replay_cfg["modulation"]["a0"] == 0.465
+        run_scenario(replay_cfg, output_dir=str(tmp_path / "b"))
+        assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
+
+    def test_bode_manifest_replay_keeps_note_order(self, tmp_path):
+        first = run_scenario("bode_reference_loop", output_dir=str(tmp_path / "a"))
+        replay_cfg = json.loads(first.manifest.read_text())["config"]
+        second = run_scenario(replay_cfg, output_dir=str(tmp_path / "b"))
+        assert first.notes == second.notes
+        for name in ("bode.csv", "bode.svg"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestSvg:
