@@ -313,9 +313,6 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
     fec_threshold_snr_db: float | None = None
 
-    def rows(self):
-        return zip(self.snr_db, self.ber, self.ser)
-
 
 def _interp_threshold(snr_db, ber, target: float) -> float | None:
     for i in range(1, len(ber)):
@@ -330,7 +327,6 @@ def snr_sweep(
     c: OffsetQamConstellation,
     sigma_pn_rad: float,
     snr_grid_db,
-    metadata: dict | None = None,
     quad_order: int = 201,
 ) -> SweepResult:
     """Semi-analytic BER over an Es/N0 grid (dB), plus the KP4 crossing.
@@ -348,15 +344,11 @@ def snr_sweep(
             c, NoiseEnvironment(n0_from_snr_db(c, snr), sigma_pn_rad), quad_order=quad_order
         )
     ber = ser / math.log2(c.order)
-    meta = dict(metadata or {})
-    meta.setdefault("order", c.order)
-    meta.setdefault("m_ratio", c.m_ratio)
-    meta.setdefault("sigma_pn_rad", sigma_pn_rad)
     return SweepResult(
         snr_db=snr_db,
         ber=ber,
         ser=ser,
-        metadata=meta,
+        metadata={"order": c.order, "m_ratio": c.m_ratio, "sigma_pn_rad": sigma_pn_rad},
         fec_threshold_snr_db=_interp_threshold(snr_db, ber, KP4_BER_THRESHOLD),
     )
 

@@ -36,9 +36,20 @@ from .reports import (
     write_csv,
     write_manifest,
 )
-from .svgplot import emit_svg
+from .svgplot import emit_svg, plot_csvs
 
 TOOL_NAME = "oqamcpr"
+
+
+@dataclass
+class Table:
+    """One run variant's report, built in memory; ``run_scenario`` writes it."""
+
+    columns: dict  # column name -> values; the key order is the CSV header
+    comments: list[str]  # CSV comment lines
+    metrics: dict
+    notes: list[str]
+    plot: dict | None  # plot spec without a title; None draws no SVG
 
 
 @dataclass
@@ -57,72 +68,56 @@ def _metric_comments(metrics: dict) -> list[str]:
         value = metrics[key]
         if value is None:
             parts.append(f"{key}=absent")
-        elif isinstance(value, str):
-            parts.append(f"{key}={value}")
         else:
             parts.append(f"{key}={format_number(value)}")
     return [" ".join(parts)] if parts else []
 
 
-def _run_bode(sc: ScenarioConfig, outdir: Path, label: str):
+def _run_bode(sc: ScenarioConfig) -> Table:
     params = sc.loop_params()
     grid = analysis.log_frequency_grid()
     h = analysis.open_loop_response(params, grid)
-    mag_db = 20.0 * np.log10(np.abs(h))
-    phase_deg = analysis.open_loop_phase_deg(params, grid)
     metrics_obj = analysis.bode_metrics(params)
     metrics = asdict(metrics_obj)
-    notes = []
-    reference = sc.data["run"].get("reference_metrics")
-    if reference:
-        notes = [
-            f"reference_deviation: {n}"
-            for n in analysis.reference_discrepancies(metrics_obj, reference)
-        ]
-    comments = _metric_comments(metrics) + notes
-    path = write_csv(
-        outdir / f"{label}.csv",
-        ("f_hz", "mag_db", "phase_deg"),
-        zip(grid, mag_db, phase_deg),
-        comments,
-    )
-    spec = {
+    reference = sc.data["run"].get("reference_metrics", {})
+    notes = [
+        f"reference_deviation: {n}"
+        for n in analysis.reference_discrepancies(metrics_obj, reference)
+    ]
+    columns = {
+        "f_hz": grid,
+        "mag_db": 20.0 * np.log10(np.abs(h)),
+        "phase_deg": analysis.open_loop_phase_deg(params, grid),
+    }
+    plot = {
         "x": "f_hz",
         "y": "mag_db",
         "logx": True,
-        "title": label,
         "xlabel": "frequency (Hz)",
         "ylabel": "open-loop magnitude (dB)",
     }
-    return [path], metrics, notes, spec
+    return Table(columns, _metric_comments(metrics) + notes, metrics, notes, plot)
 
 
-def _run_psd(sc: ScenarioConfig, outdir: Path, label: str):
-    params = sc.loop_params()
+def _run_psd(sc: ScenarioConfig) -> Table:
     scen = sc.scenario()
     spectrum = phasenoise.shaped_spectrum(
-        scen.laser.linewidth_hz, scen.mismatch.tau_s, params
+        scen.laser.linewidth_hz, scen.mismatch.tau_s, sc.loop_params()
     )
     metrics = {"variance_rad2": spectrum.variance_rad2}
-    path = write_csv(
-        outdir / f"{label}.csv",
-        ("f_hz", "psd_rad2_per_hz"),
-        zip(spectrum.freqs_hz, spectrum.psd_rad2_per_hz),
-        _metric_comments(metrics),
-    )
-    spec = {
+    columns = {"f_hz": spectrum.freqs_hz, "psd_rad2_per_hz": spectrum.psd_rad2_per_hz}
+    plot = {
         "x": "f_hz",
         "y": "psd_rad2_per_hz",
         "logx": True,
         "logy": True,
-        "title": label,
         "xlabel": "frequency (Hz)",
         "ylabel": "PSD (rad^2/Hz)",
     }
-    return [path], metrics, [], spec
+    return Table(columns, _metric_comments(metrics), metrics, [], plot)
 
 
-def _run_ber(sc: ScenarioConfig, outdir: Path, label: str):
+def _run_ber(sc: ScenarioConfig) -> Table:
     c = sc.constellation()
     scen = sc.scenario()
     params = sc.loop_params()
@@ -134,47 +129,34 @@ def _run_ber(sc: ScenarioConfig, outdir: Path, label: str):
     else:
         sigma = 0.0
     loop_bw = analysis.bode_metrics(params).closed_loop_bw_hz
-    sweep = snr_sweep(
-        c,
-        sigma,
-        sc.snr_grid_db(),
-        metadata={
-            "linewidth_hz": scen.laser.linewidth_hz,
-            "delta_l_m": scen.mismatch.delta_l_m,
-            "loop_bw_hz": loop_bw,
-        },
-    )
-    metrics = {
-        "sigma_pn_rad": sigma,
-        "fec_threshold_snr_db": sweep.fec_threshold_snr_db,
-        "order": c.order,
-        "m_ratio": c.m_ratio,
-    }
+    sweep = snr_sweep(c, sigma, sc.snr_grid_db())
+    metrics = {**sweep.metadata, "fec_threshold_snr_db": sweep.fec_threshold_snr_db}
     notes = []
     if sweep.fec_threshold_snr_db is None:
         notes.append("fec_threshold: grid never crosses the KP4 error floor")
     constants = (c.order, c.m_ratio, scen.laser.linewidth_hz,
                  scen.mismatch.delta_l_m, loop_bw if loop_bw is not None else math.nan)
-    path = write_csv(
-        outdir / f"{label}.csv",
-        ("snr_db", "ber", "ser", "order", "m_ratio", "linewidth_hz",
-         "delta_l_m", "loop_bw_hz"),
-        (row + constants for row in sweep.rows()),
-        _metric_comments(metrics) + notes,
-    )
-    spec = {
+    header = ("snr_db", "ber", "ser", "order", "m_ratio", "linewidth_hz",
+              "delta_l_m", "loop_bw_hz")
+    n = len(sweep.snr_db)
+    columns = dict(zip(header, (sweep.snr_db, sweep.ber, sweep.ser, *([v] * n for v in constants))))
+    plot = {
         "x": "snr_db",
         "y": "ber",
         "logy": True,
         "kp4_line": True,
-        "title": label,
         "xlabel": "Es/N0 (dB)",
         "ylabel": "BER",
     }
-    return [path], metrics, notes, spec
+    return Table(columns, _metric_comments(metrics) + notes, metrics, notes, plot)
 
 
-def _run_lock(sc: ScenarioConfig, outdir: Path, label: str):
+def _given(run: dict, *keys: str) -> dict:
+    """The run keys the config gives; the callee's signature holds their defaults."""
+    return {key: run[key] for key in keys if key in run}
+
+
+def _run_lock(sc: ScenarioConfig) -> Table:
     run = sc.data["run"]
     report = simulate_lock(
         sc.scenario(),
@@ -183,40 +165,31 @@ def _run_lock(sc: ScenarioConfig, outdir: Path, label: str):
         sc.detector_method(),
         duration_s=run.get("duration_s", 5e-4),
         seed=run["seed"],
-        decimation=run.get("decimation", 1000),
-        samples_per_symbol=run.get("samples_per_symbol", 2),
+        **_given(run, "decimation", "samples_per_symbol"),
     )
-    metrics = {
-        "residual_rad": report.residual_rad,
-        "lock_point_rad": report.lock_point_rad,
-        "locked": report.locked,
-    }
-    path = write_csv(
-        outdir / f"{label}.csv",
-        ("time_s", "psi_rad", "delta_phi_rad", "error_v"),
-        report.rows(),
-        _metric_comments(metrics),
-    )
-    spec = {
+    # The metrics and the CSV columns are report fields, under their own names.
+    metrics = {name: getattr(report, name) for name in ("residual_rad", "lock_point_rad", "locked")}
+    columns = {name: getattr(report, name)
+               for name in ("time_s", "psi_rad", "delta_phi_rad", "error_v")}
+    plot = {
         "x": "time_s",
         "y": "delta_phi_rad",
-        "title": label,
         "xlabel": "time (s)",
         "ylabel": "phase error (rad)",
     }
-    return [path], metrics, [], spec
+    return Table(columns, _metric_comments(metrics), metrics, [], plot)
 
 
-def _run_trace(sc: ScenarioConfig, outdir: Path, label: str):
+def _run_trace(sc: ScenarioConfig) -> Table:
     run = sc.data["run"]
     t, i, q = received_trace(
         sc.constellation(),
         sc.scenario(),
         num_symbols=run.get("num_symbols", 1000),
-        samples_per_symbol=run.get("samples_per_symbol", 2),
+        **_given(run, "samples_per_symbol"),
     )
-    path = write_csv(outdir / f"{label}.csv", ("time_s", "i", "q"), zip(t, i, q))
-    return [path], {"samples": int(len(t))}, [], None
+    return Table({"time_s": t, "i": i, "q": q}, [], {"samples": int(len(t))}, [], None)
+
 
 _MODE_RUNNERS = {
     "bode": _run_bode,
@@ -252,27 +225,22 @@ def run_scenario(source, output_dir: str | None = None) -> RunResult:
 
     variants = sweep_variants(cfg)
     runs = [(f"{label}_{slug}", v) for slug, v in variants.items()] or [(label, cfg)]
+    tables = {variant_label: runner(ScenarioConfig(v)) for variant_label, v in runs}
 
     result = RunResult()
-    per_variant_metrics = {}
-    plot_spec = None
-    for variant_label, variant_cfg in runs:
-        files, metrics, notes, plot_spec = runner(
-            ScenarioConfig(variant_cfg), outdir, variant_label
-        )
-        result.files.extend(files)
-        result.notes.extend(notes)
-        per_variant_metrics[variant_label] = metrics
-
+    for variant_label, table in tables.items():
+        columns = table.columns
+        result.files.append(write_csv(
+            outdir / f"{variant_label}.csv", tuple(columns), zip(*columns.values()), table.comments
+        ))
+        result.notes.extend(table.notes)
+    per_variant_metrics = {variant_label: t.metrics for variant_label, t in tables.items()}
     result.metrics = per_variant_metrics if variants else per_variant_metrics[label]
 
-    if run.get("svg") and plot_spec is not None:
-        csvs = [f for f in result.files if f.suffix == ".csv"]
-        spec = dict(plot_spec)
-        spec["title"] = label
-        spec["labels"] = [f.stem for f in csvs]
-        svg_path = emit_svg(csvs, spec, outdir / f"{label}.svg")
-        result.files.append(svg_path)
+    plot = next(iter(tables.values())).plot  # the same for every variant
+    if run.get("svg") and plot is not None:
+        series = [(variant_label, t.columns) for variant_label, t in tables.items()]
+        result.files.append(emit_svg(series, {**plot, "title": label}, outdir / f"{label}.svg"))
 
     manifest_payload = {
         "tool": TOOL_NAME,
@@ -308,7 +276,7 @@ def _cmd_plot(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load plot spec {args.spec}: {exc}") from exc
     out = args.output or str(Path(args.csv).with_suffix(".svg"))
-    emit_svg(args.csv, spec, out)
+    plot_csvs([args.csv], spec, out)
     print(out)
     return 0
 

@@ -65,6 +65,10 @@ POSITIVE = ("a finite number > 0", lambda v: _is_number(v) and v > 0)
 NON_NEGATIVE = ("a finite number >= 0", lambda v: _is_number(v) and v >= 0)
 COUNT = ("a positive integer", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1)
 TEXT = ("a string or null", lambda v: v is None or isinstance(v, str))
+FLAG = ("true or false", lambda v: isinstance(v, bool))
+LABEL = ("a string with no '/' or '\\' that is not '.' or '..', or null",
+         lambda v: v is None or (isinstance(v, str) and not {"/", "\\"} & set(v)
+                                 and v not in (".", "..")))
 GRID = ("a strictly increasing list of >= 2 finite numbers, or "
         "{start, stop, step} with step > 0 spanning >= 2 points", _is_grid)
 SWEEP = (f"{{'key': <one of {sorted(_SWEEPABLE)}>, 'values': [<one or more values>]}}",
@@ -106,8 +110,8 @@ SCHEMA = {
     "run": {
         "mode": (REQUIRED, _one_of(MODES)),
         "seed": (1, ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))),
-        "svg": (False, ("true or false", lambda v: isinstance(v, bool))),
-        "label": (None, TEXT),
+        "svg": (False, FLAG),
+        "label": (None, LABEL),
         "output_dir": (OPTIONAL, TEXT),
         "duration_s": (OPTIONAL, POSITIVE),
         "decimation": (OPTIONAL, COUNT),

@@ -175,9 +175,6 @@ class LockReport:
     method: DetectorMethod
     metadata: dict = field(default_factory=dict)
 
-    def rows(self):
-        return zip(self.time_s, self.psi_rad, self.delta_phi_rad, self.error_v)
-
 
 def _finish_report(t, psi, dphi, err, method, metadata) -> LockReport:
     n = len(dphi)

@@ -1,4 +1,4 @@
-"""Hand-emitted deterministic SVG line plots for tool-generated CSVs.
+"""Hand-emitted deterministic SVG line plots of report columns.
 
 No plotting library: axes, ticks, and polylines are written directly so
 the same inputs always produce byte-identical files (no timestamps, no
@@ -7,10 +7,13 @@ renderer versions).  Log axes drop non-positive samples.
 
 from __future__ import annotations
 
+import html
 import math
 from pathlib import Path
 
 from .ber import KP4_BER_THRESHOLD
+from .config import FLAG, NUMBER, TEXT
+from .errors import ConfigError
 from .reports import read_csv
 
 WIDTH, HEIGHT = 660.0, 440.0
@@ -74,23 +77,62 @@ class _Axis:
         return _nice_ticks(self.lo, self.hi)
 
 
-def emit_svg(csv_report, plot_spec: dict, out_path: str | Path) -> Path:
-    """Render one or more tool CSVs to a deterministic SVG.
+TEXTS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
 
-    plot_spec keys: x (column name), y (column name or list), optional
-    logx/logy (bool), threshold (float, horizontal line; kp4_line: true
-    is shorthand for the KP4 error floor), title/xlabel/ylabel, labels
-    (per-curve names).  Raises on malformed input or an empty CSV before
-    any file is written.
+# (plot spec keys, rule), the rules as in config.SCHEMA; a null value counts as absent.
+SPEC_RULES = (
+    (("x", "title", "xlabel", "ylabel"), TEXT),
+    (("y",), ("a string or a list of strings", lambda v: isinstance(v, str) or TEXTS[1](v))),
+    (("logx", "logy", "kp4_line"), FLAG),
+    (("threshold",), NUMBER),
+    (("labels",), TEXTS),
+)
+
+
+def _check_spec(spec) -> list[str]:
+    """Check a plot spec against SPEC_RULES; return its x and y column names."""
+    if not isinstance(spec, dict):
+        raise ConfigError("plot spec must be a JSON object")
+    for keys, (description, ok) in SPEC_RULES:
+        for key in keys:
+            if spec.get(key) is not None and not ok(spec[key]):
+                raise ConfigError(f"plot spec key {key!r} must be {description}")
+    if not spec.get("x") or not spec.get("y"):
+        raise ConfigError("plot spec needs 'x' and 'y'")
+    y = spec["y"]
+    return [spec["x"], *(y if isinstance(y, list) else [y])]
+
+
+def plot_csvs(paths, plot_spec: dict, out_path: str | Path) -> Path:
+    """Render a list of tool CSVs to an SVG.
+
+    Each curve is labelled by its file stem unless the spec gives
+    ``labels``.  A malformed or empty CSV, or one without a plotted
+    column, raises an error naming its path before any file is written.
     """
-    paths = csv_report if isinstance(csv_report, (list, tuple)) else [csv_report]
-    if not paths:
-        raise ValueError("no CSV inputs")
-    x_col = plot_spec.get("x")
-    y_spec = plot_spec.get("y")
-    if not x_col or not y_spec:
-        raise ValueError("plot spec needs 'x' and 'y'")
-    y_cols = y_spec if isinstance(y_spec, list) else [y_spec]
+    names = _check_spec(plot_spec)
+    series = []
+    for path in paths:
+        _, cols = read_csv(path)
+        for name in names:
+            if name not in cols:
+                raise ValueError(f"{path}: missing column {name!r}")
+        series.append((Path(path).stem, cols))
+    return emit_svg(series, plot_spec, out_path)
+
+
+def emit_svg(series, plot_spec: dict, out_path: str | Path) -> Path:
+    """Render in-memory columns to a deterministic SVG.
+
+    ``series`` holds one (label, columns) pair per curve family; columns
+    map each column name to its values.  plot_spec keys: x (column
+    name), y (column name or list), optional logx/logy (bool), threshold
+    (float, horizontal line; kp4_line: true is shorthand for the KP4
+    error floor), title/xlabel/ylabel, labels (per-curve names in place
+    of the series labels).  A bad spec raises ConfigError, and data with
+    no plottable point ValueError, before any file is written.
+    """
+    x_col, *y_cols = _check_spec(plot_spec)
     logx = bool(plot_spec.get("logx", False))
     logy = bool(plot_spec.get("logy", False))
     threshold = plot_spec.get("threshold")
@@ -99,21 +141,16 @@ def emit_svg(csv_report, plot_spec: dict, out_path: str | Path) -> Path:
 
     curves = []  # (label, xs, ys)
     labels = plot_spec.get("labels") or []
-    for i, path in enumerate(paths):
-        header, cols = read_csv(path)
-        if x_col not in cols:
-            raise ValueError(f"{path}: missing column {x_col!r}")
+    for i, (name, cols) in enumerate(series):
         for y_col in y_cols:
-            if y_col not in cols:
-                raise ValueError(f"{path}: missing column {y_col!r}")
-            if len(paths) == 1 and len(y_cols) > 1:
+            if len(series) == 1 and len(y_cols) > 1:
                 label = y_col
             elif i < len(labels):
                 label = labels[i]
             else:
-                label = Path(path).stem
+                label = name
             xs, ys = [], []
-            for x, y in zip(cols[x_col], cols[y_col]):
+            for x, y in zip(map(float, cols[x_col]), map(float, cols[y_col])):
                 if logx and x <= 0:
                     continue
                 if logy and y <= 0:
@@ -121,7 +158,7 @@ def emit_svg(csv_report, plot_spec: dict, out_path: str | Path) -> Path:
                 xs.append(x)
                 ys.append(y)
             if xs:
-                curves.append((label, xs, ys))
+                curves.append((html.escape(label), xs, ys))
     if not curves:
         raise ValueError("no plottable data points")
 
@@ -197,10 +234,10 @@ def emit_svg(csv_report, plot_spec: dict, out_path: str | Path) -> Path:
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.2f}" y="{MARGIN_T - 14:.2f}" font-size="14" '
-            f'text-anchor="middle">{title}</text>'
+            f'text-anchor="middle">{html.escape(title)}</text>'
         )
-    xlabel = plot_spec.get("xlabel", x_col)
-    ylabel = plot_spec.get("ylabel", y_cols[0])
+    xlabel = html.escape(plot_spec.get("xlabel") or x_col)
+    ylabel = html.escape(plot_spec.get("ylabel") or y_cols[0])
     parts.append(
         f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2:.2f}" '
         f'y="{HEIGHT - 14:.2f}" font-size="12" text-anchor="middle">{xlabel}</text>'

@@ -1,13 +1,16 @@
 import json
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from oqamcpr import reports, svgplot
 from oqamcpr.cli import main, run_scenario
 from oqamcpr.config import ScenarioConfig, load_config, sweep_variants, validate_config
 from oqamcpr.errors import ConfigError
 from oqamcpr.presets import PRESETS, list_presets, preset_config
 from oqamcpr.reports import read_csv
-from oqamcpr.svgplot import emit_svg
+from oqamcpr.svgplot import plot_csvs
 
 BER_CFG = {
     "modulation": {"order": 4, "m_ratio": 0.1},
@@ -80,6 +83,23 @@ BAD_INPUTS = [
     pytest.param({"run": {"duration_s": 1e-9}}, "duration_s", id="lock-duration-short"),
     pytest.param({"laser": {"linewidth_hz": 1e6}, "mismatch": {"delta_l_m": 1e-4}},
                  "delta_l_m", id="lock-mismatch-below-sample-step"),
+    # A label names the output files, so it may not lead out of the output directory.
+    *(
+        pytest.param({"run": {"label": label}}, "label", id=f"label-{tag}")
+        for tag, label in [("parent-x", "../x"), ("a-slash-b", "a/b"), ("parent", "..")]
+    ),
+]
+
+# Plot specs that ended in a traceback or were misread; each must exit 2
+# naming the key.
+BAD_PLOT_SPECS = [
+    pytest.param([1, 2], "plot spec", id="not-an-object"),
+    pytest.param({"x": "snr_db", "y": "ber", "threshold": "a"}, "threshold", id="threshold-a"),
+    pytest.param({"x": "snr_db", "y": "ber", "threshold": "a", "logy": True}, "threshold",
+                 id="threshold-a-logy"),
+    pytest.param({"x": ["snr_db"], "y": "ber"}, "'x'", id="x-list"),
+    pytest.param({"x": "snr_db", "y": "ber", "logx": "no"}, "logx", id="logx-no"),
+    pytest.param({"x": "snr_db", "y": "ber", "labels": "abc"}, "labels", id="labels-abc"),
 ]
 
 
@@ -304,8 +324,8 @@ class TestSvg:
         result = run_scenario(BER_CFG, output_dir=str(tmp_path))
         csv = next(f for f in result.files if f.suffix == ".csv")
         spec = {"x": "snr_db", "y": "ber", "logy": True, "kp4_line": True}
-        a = emit_svg(csv, spec, tmp_path / "a.svg")
-        b = emit_svg(csv, spec, tmp_path / "b.svg")
+        a = plot_csvs([csv], spec, tmp_path / "a.svg")
+        b = plot_csvs([csv], spec, tmp_path / "b.svg")
         assert a.read_bytes() == b.read_bytes()
 
     def test_exactly_one_threshold_line(self, tmp_path):
@@ -318,14 +338,14 @@ class TestSvg:
         empty.write_text("snr_db,ber\n")
         out = tmp_path / "plot.svg"
         with pytest.raises(ValueError):
-            emit_svg(empty, {"x": "snr_db", "y": "ber"}, out)
+            plot_csvs([empty], {"x": "snr_db", "y": "ber"}, out)
         assert not out.exists()
 
     def test_malformed_csv_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("snr_db,ber\n1.0\n")
         with pytest.raises(ValueError, match="fields"):
-            emit_svg(bad, {"x": "snr_db", "y": "ber"}, tmp_path / "x.svg")
+            plot_csvs([bad], {"x": "snr_db", "y": "ber"}, tmp_path / "x.svg")
 
     def test_plot_command(self, tmp_path):
         result = run_scenario(BER_CFG, output_dir=str(tmp_path))
@@ -344,3 +364,62 @@ class TestSvg:
         spec_path.write_text(json.dumps({"x": "x", "y": "y"}))
         rc = main(["plot", str(bad), str(spec_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("spec, key", BAD_PLOT_SPECS)
+    def test_bad_plot_spec_exit_2(self, tmp_path, capsys, spec, key):
+        csv = tmp_path / "mini.csv"
+        csv.write_text("snr_db,ber\n1.0,0.1\n2.0,0.01\n")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        rc = main(["plot", str(csv), str(spec_path), "-o", str(tmp_path / "x.svg")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_run_svg_equals_plot_of_written_csvs(self, tmp_path):
+        spec = {"x": "snr_db", "y": "ber", "logy": True, "kp4_line": True,
+                "xlabel": "Es/N0 (dB)", "ylabel": "BER"}
+        run_scenario(BER_CFG, output_dir=str(tmp_path / "run"))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**spec, "title": "mini"}))
+        out = tmp_path / "verb.svg"
+        csv = tmp_path / "run" / "mini.csv"
+        assert main(["plot", str(csv), str(spec_path), "-o", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "run" / "mini.svg").read_bytes()
+
+        cfg = preset_config("ber_mismatch_16qam")
+        cfg["run"]["snr_grid_db"] = {"start": 14.0, "stop": 22.0, "step": 2.0}
+        result = run_scenario(cfg, output_dir=str(tmp_path / "sweep"))
+        csvs = [f for f in result.files if f.suffix == ".csv"]
+        svg = plot_csvs(csvs, {**spec, "title": "ber_mismatch_16qam"}, tmp_path / "sweep.svg")
+        assert svg.read_bytes() == (tmp_path / "sweep" / "ber_mismatch_16qam.svg").read_bytes()
+
+    def test_swept_run_reads_back_no_file(self, tmp_path, monkeypatch):
+        outdir = tmp_path / "out"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_scenario read a file back")
+
+        read_text = Path.read_text
+
+        def read_text_outside(path, *args, **kwargs):
+            if outdir in Path(path).resolve().parents:
+                refuse()
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(svgplot, "read_csv", refuse)
+        monkeypatch.setattr(reports, "read_csv", refuse)
+        monkeypatch.setattr(Path, "read_text", read_text_outside)
+        cfg = preset_config("ber_offset_4qam")
+        cfg["run"]["snr_grid_db"] = {"start": 4.0, "stop": 12.0, "step": 2.0}
+        result = run_scenario(cfg, output_dir=str(outdir))
+        assert sorted(f.suffix for f in result.files) == [".csv"] * 4 + [".svg"]
+
+    def test_markup_in_label_is_escaped(self, tmp_path):
+        cfg = json.loads(json.dumps(BER_CFG))
+        cfg["run"]["label"] = "a<b & c"
+        run_scenario(cfg, output_dir=str(tmp_path))
+        root = ET.parse(tmp_path / "a<b & c.svg").getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count("a<b & c") == 2  # the title and the curve label

@@ -284,13 +284,3 @@ class TestSimulateLock:
         sc = ChannelScenario(baud_rate_hz=1e6, phi_offset_rad=0.1, seed=1)
         with pytest.raises(ValueError, match="coarse"):
             simulate_lock(sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1.0, 1)
-
-    def test_report_rows_export(self):
-        c = build_constellation(4, 1.0, 0.1)
-        rep = simulate_lock(
-            self.scenario(0.2), c, DEFAULT_LOOP, DetectorMethod.METHOD1,
-            1e-4, seed=2, data_path="averaged",
-        )
-        rows = list(rep.rows())
-        assert len(rows) == len(rep.time_s)
-        assert len(rows[0]) == 4
