@@ -1,10 +1,10 @@
 """Desk-scale simulator for laser-forwarded offset-QAM coherent links.
 
 The package models the analog carrier phase recovery chain end to end:
-offset-QAM constellations, the laser-forwarded channel with Wiener phase
-noise, both average-power phase-error detectors and the closed recovery
-loop, its linearized frequency-domain analysis, the loop-shaped beat
-phase-noise spectrum, and semi-analytic plus Monte Carlo error rates.
+offset-QAM constellations, the laser-forwarded channel with its streaming
+Wiener beat phase, both average-power phase-error detectors and the closed
+recovery loop, its linearized frequency-domain analysis, the loop-shaped
+beat phase-noise spectrum, and semi-analytic plus Monte Carlo error rates.
 """
 
 from .analysis import (
@@ -32,15 +32,12 @@ from .ber import (
     snr_sweep,
 )
 from .channel import (
-    BeatPhase,
+    BeatNoise,
     ChannelScenario,
     LaserModel,
     PathMismatch,
-    PhaseNoisePath,
     add_awgn,
-    beat_phase,
-    generate_phase_noise,
-    pd_filter,
+    one_pole_lowpass,
     received_trace,
     rotate_symbol,
     stream_rng,
@@ -57,7 +54,6 @@ from .cpr import (
     LockReport,
     error_method1,
     error_method2,
-    lowpass_average,
     simulate_lock,
     step_loop_filter,
     step_phase_shifter,

@@ -1,18 +1,20 @@
 """Laser-forwarded link model.
 
 Covers the stochastic and deterministic signal path outside the recovery
-loop: Wiener laser phase noise, the differential (beat) phase produced by
-an LO/Rx path length mismatch, rotation of offset-QAM symbols by a phase
-error, additive white Gaussian noise, and an optional single-pole
-photodetector bandwidth filter.
+loop: the streaming beat phase of Wiener laser phase noise seen through an
+LO/Rx path length mismatch (``BeatNoise``, the one source the lock loop
+draws from), rotation of offset-QAM symbols by a phase error, additive
+white Gaussian noise, and the single-pole low-pass that models both the
+photodetector bandwidth and the loop's averaging filter.
 
-All stochastic helpers take an explicit seed and are deterministic for a
-fixed seed; derived streams are spawned with ``stream_rng(seed, *key)`` so
-independent consumers never share draws.
+Stochastic helpers draw from a ``numpy.random.Generator`` handed in by the
+caller; streams are spawned with ``stream_rng(seed, *key)`` so independent
+consumers never share draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,13 +44,11 @@ def stream_rng(seed, *key) -> np.random.Generator:
 class LaserModel:
     """Lorentzian laser: linewidth sets the Wiener phase-noise strength.
 
-    center_frequency_rad_s and initial_phase_rad are carried as metadata
-    only; both cancel in the homodyne beat of a laser-forwarded link.
+    Carrier frequency and initial phase cancel in the homodyne beat of a
+    laser-forwarded link, so the model has neither.
     """
 
     linewidth_hz: float
-    center_frequency_rad_s: float = 0.0
-    initial_phase_rad: float = 0.0
 
     def __post_init__(self):
         if self.linewidth_hz < 0:
@@ -72,24 +72,6 @@ class PathMismatch:
     def tau_s(self) -> float:
         """Differential delay n * delta_l / c in seconds."""
         return self.refractive_index * self.delta_l_m / SPEED_OF_LIGHT_M_S
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseNoisePath:
-    """Sampled Wiener phase-noise realization."""
-
-    dt_s: float
-    samples: np.ndarray
-    seed: int
-
-
-@dataclass(frozen=True, eq=False)
-class BeatPhase:
-    """Differential beat phase phi(t) - phi(t - tau) plus a static offset."""
-
-    dt_s: float
-    samples: np.ndarray
-    delay_samples: int
 
 
 @dataclass(frozen=True)
@@ -125,29 +107,6 @@ class ChannelScenario:
         return self.n0 if self.snr_db is None else n0_from_snr_db(c, self.snr_db)
 
 
-def generate_phase_noise(
-    laser: LaserModel, dt_s: float, count: int, seed: int
-) -> PhaseNoisePath:
-    """Sample a Wiener phase-noise path.
-
-    Increments are i.i.d. zero-mean Gaussian with variance
-    2 * pi * linewidth * dt, matching a Lorentzian line of the given
-    FWHM. The first sample equals the laser's initial phase.
-    """
-    if dt_s <= 0:
-        raise ValueError(f"dt_s must be > 0, got {dt_s}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = stream_rng(seed, 0x7A5E)
-    sigma = np.sqrt(2.0 * np.pi * laser.linewidth_hz * dt_s)
-    samples = np.empty(count)
-    samples[0] = laser.initial_phase_rad
-    if count > 1:
-        samples[1:] = rng.normal(0.0, sigma, count - 1) if sigma > 0 else 0.0
-        np.cumsum(samples, out=samples)
-    return PhaseNoisePath(dt_s=dt_s, samples=samples, seed=seed)
-
-
 def delay_in_samples(tau_s: float, dt_s: float) -> int:
     """Round the differential delay to whole samples.
 
@@ -166,24 +125,61 @@ def delay_in_samples(tau_s: float, dt_s: float) -> int:
     return d
 
 
-def beat_phase(
-    path: PhaseNoisePath, mismatch: PathMismatch, phi_offset_rad: float = 0.0
-) -> BeatPhase:
-    """Differential phase of the beat signal for a delayed LO copy.
+class BeatNoise:
+    """Streaming beat phase of a Wiener laser seen through a path mismatch.
 
-    samples[k] = phi_offset + path[k] - path[k - round(tau/dt)]; indices
-    before the start of the path reuse path[0].
+    theta[k] = phi[k] - phi[k - d] with d = round(tau/dt) and phi = 0 before
+    the start, where phi is a Wiener path whose i.i.d. increments have the
+    variance 2 * pi * linewidth * dt of a Lorentzian line.  ``draw(n)``
+    draws the increments of the next n samples from ``rng`` and returns
+    their theta; a link with zero linewidth or zero mismatch has no beat noise,
+    draws nothing and returns None.
+
+    The last d samples of phi live in a ring of length d + n (n the longest
+    block so far) addressed by index, so a block costs O(n) however long
+    the delay.
     """
-    d = delay_in_samples(mismatch.tau_s, path.dt_s)
-    p = path.samples
-    if d == 0:
-        samples = np.full_like(p, phi_offset_rad)
-    else:
-        delayed = np.empty_like(p)
-        delayed[:d] = p[0]
-        delayed[d:] = p[:-d]
-        samples = phi_offset_rad + p - delayed
-    return BeatPhase(dt_s=path.dt_s, samples=samples, delay_samples=d)
+
+    def __init__(
+        self, laser: LaserModel, mismatch: PathMismatch, dt_s: float, rng: np.random.Generator
+    ):
+        if dt_s <= 0:
+            raise ValueError(f"dt_s must be > 0, got {dt_s}")
+        noisy = laser.linewidth_hz > 0 and mismatch.tau_s > 0
+        self.delay_samples = delay_in_samples(mismatch.tau_s, dt_s) if noisy else 0
+        self._sigma = math.sqrt(2.0 * math.pi * laser.linewidth_hz * dt_s)
+        self._rng = rng
+        self._phi_last = 0.0
+        self._ring = np.zeros(self.delay_samples)
+        self._pos = 0  # ring slot of the next sample
+
+    def _read(self, start: int, n: int) -> np.ndarray:
+        ring = self._ring
+        head = min(n, ring.size - start)
+        return np.concatenate((ring[start:start + head], ring[:n - head]))
+
+    def draw(self, n: int) -> np.ndarray | None:
+        """theta for the next n samples, or None when there is no beat noise."""
+        if n < 1:
+            raise ValueError(f"block length n must be >= 1, got {n}")
+        if not self.delay_samples:
+            return None
+        d = self.delay_samples
+        phase = self._phi_last + np.cumsum(self._rng.normal(0.0, self._sigma, n))
+        self._phi_last = phase[-1]
+        if self._ring.size < d + n:
+            tail = self._read((self._pos - d) % self._ring.size, d)
+            self._ring = np.zeros(d + n)
+            self._ring[:d] = tail
+            self._pos = d
+        ring, start = self._ring, self._pos
+        head = min(n, ring.size - start)
+        ring[start:start + head] = phase[:head]
+        ring[:n - head] = phase[head:]
+        self._pos = (start + n) % ring.size
+        # With the ring d + n long, writing this block overwrote only
+        # samples older than k - d, so the delayed copy is intact.
+        return phase - self._read((start - d) % ring.size, n)
 
 
 def rotate_symbol(i, q, a0: float, delta_phi):
@@ -205,14 +201,13 @@ def rotate_symbol(i, q, a0: float, delta_phi):
     return x * ci + y * si, y * ci - x * si
 
 
-def add_awgn(values, n0: float, seed: int):
+def add_awgn(values, n0: float, rng: np.random.Generator):
     """Add white Gaussian noise with variance n0/2 per real dimension."""
     if n0 < 0:
         raise ValueError(f"n0 must be >= 0, got {n0}")
     values = np.asarray(values, dtype=float)
     if n0 == 0:
         return values.copy()
-    rng = stream_rng(seed, 0xA36)
     return values + rng.normal(0.0, np.sqrt(n0 / 2.0), values.shape)
 
 
@@ -231,14 +226,6 @@ def one_pole_lowpass(x, dt_s: float, cutoff_hz: float, zi=None):
         zi = np.zeros(1)
     y, zf = lfilter(b, den, np.asarray(x, dtype=float), zi=zi)
     return y, zf
-
-
-def pd_filter(trace, dt_s: float, bandwidth_hz: float):
-    """Photodetector bandwidth model: causal one-pole low-pass, DC gain 1."""
-    if bandwidth_hz <= 0:
-        raise ValueError(f"bandwidth_hz must be > 0, got {bandwidth_hz}")
-    y, _ = one_pole_lowpass(trace, dt_s, bandwidth_hz)
-    return y
 
 
 def symbol_stream(constellation, num_symbols: int, seed: int) -> np.ndarray:
@@ -273,13 +260,13 @@ def received_trace(
     i_rx, q_rx = rotate_symbol(i_sym, q_sym, constellation.a0, dphi)
 
     if scenario.pd_bandwidth_hz is not None:
-        i_rx = pd_filter(i_rx, dt, scenario.pd_bandwidth_hz)
-        q_rx = pd_filter(q_rx, dt, scenario.pd_bandwidth_hz)
+        i_rx, _ = one_pole_lowpass(i_rx, dt, scenario.pd_bandwidth_hz)
+        q_rx, _ = one_pole_lowpass(q_rx, dt, scenario.pd_bandwidth_hz)
 
     n0 = scenario.awgn_n0(constellation)
     if n0:
-        i_rx = add_awgn(i_rx, n0, scenario.seed)
-        q_rx = add_awgn(q_rx, n0, scenario.seed + 1)
+        i_rx = add_awgn(i_rx, n0, stream_rng(scenario.seed, 0xA36))
+        q_rx = add_awgn(q_rx, n0, stream_rng(scenario.seed + 1, 0xA36))
 
     t = np.arange(i_rx.size) * dt
     return t, i_rx, q_rx

@@ -13,23 +13,27 @@ at the symbol rate (nominally 100 GBaud) while the loop filter and phase
 shifter update once per decimated block, since the loop bandwidth sits
 five decades below the symbol rate.  Both dynamic blocks are discretized
 with the bilinear transform, which preserves DC gains exactly and is
-stable for any step size.
+stable for any step size.  The symbol-rate data path takes its beat phase
+from ``channel.BeatNoise`` and its rotation and AWGN from ``channel``, so
+the loop runs the same channel model that the channel tests check.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis
 from .analysis import LoopParams
 from .channel import (
+    BeatNoise,
     ChannelScenario,
-    delay_in_samples,
+    add_awgn,
     one_pole_lowpass,
+    rotate_symbol,
     stream_rng,
 )
 from .constellation import OffsetQamConstellation
@@ -62,39 +66,6 @@ def error_method2(i_avg, q_avg):
     q_avg = np.asarray(q_avg)
     out = _sgn(i_avg) * q_avg - _sgn(q_avg) * i_avg
     return out if out.ndim else float(out)
-
-
-class HystereticSign:
-    """Comparator with symmetric hysteresis to avoid chatter near zero."""
-
-    def __init__(self, threshold: float, state: float = 1.0):
-        self.threshold = threshold
-        self.state = state
-
-    def update(self, value: float) -> float:
-        if self.state > 0 and value < -self.threshold:
-            self.state = -1.0
-        elif self.state < 0 and value > self.threshold:
-            self.state = 1.0
-        return self.state
-
-
-def lowpass_average(
-    i_trace,
-    q_trace,
-    dt_s: float,
-    cutoff_hz: float = DEFAULT_AVERAGING_CUTOFF_HZ,
-):
-    """Average-extracting low-pass of the I and Q traces.
-
-    For long DC-balanced symbol streams at a constant phase error the
-    outputs converge to a0*(cos+sin) and a0*(cos-sin).  The default
-    cutoff sits three decades above the loop crossover and well below the
-    symbol rate.
-    """
-    i_avg, _ = one_pole_lowpass(i_trace, dt_s, cutoff_hz)
-    q_avg, _ = one_pole_lowpass(q_trace, dt_s, cutoff_hz)
-    return i_avg, q_avg
 
 
 @dataclass
@@ -135,13 +106,10 @@ def step_phase_shifter(
     v_in: float,
     dt_s: float,
     params: LoopParams,
-    range_rad: float | None = None,
 ) -> float:
     """One bilinear step of the first-order phase shifter (rad out).
 
-    DC gain K_ps with the thermal pole f_ps.  With range_rad set, the
-    output clamps to +/- range_rad and the state is rewound to the clamp
-    (simple anti-windup).
+    DC gain K_ps with the thermal pole f_ps.
     """
     if dt_s <= 0:
         raise ValueError("dt_s must be > 0")
@@ -149,8 +117,6 @@ def step_phase_shifter(
     b0 = params.k_ps_rad_per_v / (1.0 + ap)
     a1 = (1.0 - ap) / (1.0 + ap)
     y = b0 * v_in + state.z
-    if range_rad is not None and abs(y) > range_rad:
-        y = math.copysign(range_rad, y)
     state.z = b0 * v_in - a1 * y
     return y
 
@@ -173,10 +139,9 @@ class LockReport:
     lock_point_rad: float
     locked: bool
     method: DetectorMethod
-    metadata: dict = field(default_factory=dict)
 
 
-def _finish_report(t, psi, dphi, err, method, metadata) -> LockReport:
+def _finish_report(t, psi, dphi, err, method) -> LockReport:
     n = len(dphi)
     tail = dphi[int(0.9 * n):]
     mean_tail = float(np.mean(tail))
@@ -196,7 +161,6 @@ def _finish_report(t, psi, dphi, err, method, metadata) -> LockReport:
         lock_point_rad=lock_point,
         locked=locked,
         method=method,
-        metadata=metadata,
     )
 
 
@@ -218,15 +182,14 @@ def _averaged_blocks(a0: float, dt_loop: float):
         block = (i_avg, q_avg, dphi)
 
 
-def _symbol_blocks(
-    scenario, constellation, seed, decimation, samples_per_symbol, noise_sigma
-):
+def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol, n0):
     """Block source of the symbol-level data path.
 
     Receives (input phase, psi) and yields (i_avg, q_avg, dphi) for one
     block of ``decimation`` symbols: rotation by the per-sample phase
-    error, optional photodetector filter and AWGN, then the block mean of
-    the averaging low-pass; dphi is the phase error of the last sample.
+    error (input phase plus the channel's beat phase, minus psi),
+    optional photodetector filter and AWGN, then the block mean of the
+    averaging low-pass; dphi is the phase error of the last sample.
     """
     a0 = constellation.a0
     dt_samp = 1.0 / (scenario.baud_rate_hz * samples_per_symbol)
@@ -237,13 +200,10 @@ def _symbol_blocks(
     # add pattern-ripple jitter well above the sub-mrad steady-state error.
     balanced_base = np.repeat(constellation.levels, decimation // constellation.side)
 
+    # One stream, drawn per block in a fixed order: the two permutations,
+    # the beat-phase increments, then the AWGN of each axis.
     rng = stream_rng(seed, 0x10C)
-    tau = scenario.mismatch.tau_s
-    noisy = scenario.laser.linewidth_hz > 0 and tau > 0
-    d = delay_in_samples(tau, dt_samp) if noisy else 0
-    sig_inc = math.sqrt(2.0 * math.pi * scenario.laser.linewidth_hz * dt_samp)
-    phase_tail = np.zeros(d)
-    phi_last = 0.0
+    beat = BeatNoise(scenario.laser, scenario.mismatch, dt_samp, rng)
 
     pd_zi_i = pd_zi_q = avg_zi_i = avg_zi_q = None  # zero initial filter state
 
@@ -253,33 +213,21 @@ def _symbol_blocks(
         i_sym = np.repeat(rng.permutation(balanced_base), samples_per_symbol)
         q_sym = np.repeat(rng.permutation(balanced_base), samples_per_symbol)
 
-        if noisy:
-            block_phase = phi_last + np.cumsum(rng.normal(0.0, sig_inc, n_samp))
-            full = np.concatenate((phase_tail, block_phase))
-            theta = full[d:] - full[:-d]
-            phase_tail = full[-d:]
-            phi_last = block_phase[-1]
-            dphi_samples = phi_in0 + theta - psi
-            ci = np.cos(dphi_samples)
-            si = np.sin(dphi_samples)
-            dphi_end = float(dphi_samples[-1])
+        theta = beat.draw(n_samp)
+        if theta is None:
+            dphi = dphi_end = phi_in0 - psi
         else:
-            dphi_end = phi_in0 - psi
-            ci = math.cos(dphi_end)
-            si = math.sin(dphi_end)
-
-        x = i_sym + a0
-        y = q_sym + a0
-        i_rx = x * ci + y * si
-        q_rx = y * ci - x * si
+            dphi = phi_in0 + theta - psi
+            dphi_end = float(dphi[-1])
+        i_rx, q_rx = rotate_symbol(i_sym, q_sym, a0, dphi)
 
         if scenario.pd_bandwidth_hz is not None:
             i_rx, pd_zi_i = one_pole_lowpass(i_rx, dt_samp, scenario.pd_bandwidth_hz, pd_zi_i)
             q_rx, pd_zi_q = one_pole_lowpass(q_rx, dt_samp, scenario.pd_bandwidth_hz, pd_zi_q)
 
-        if noise_sigma > 0:
-            i_rx = i_rx + rng.normal(0.0, noise_sigma, n_samp)
-            q_rx = q_rx + rng.normal(0.0, noise_sigma, n_samp)
+        if n0:
+            i_rx = add_awgn(i_rx, n0, rng)
+            q_rx = add_awgn(q_rx, n0, rng)
 
         i_f, avg_zi_i = one_pole_lowpass(i_rx, dt_samp, DEFAULT_AVERAGING_CUTOFF_HZ, avg_zi_i)
         q_f, avg_zi_q = one_pole_lowpass(q_rx, dt_samp, DEFAULT_AVERAGING_CUTOFF_HZ, avg_zi_q)
@@ -300,7 +248,6 @@ def simulate_lock(
     decimation: int = 1000,
     samples_per_symbol: int = 2,
     data_path: str = "symbols",
-    actuator_range_rad: float | None = None,
     phase_drive=None,
 ) -> LockReport:
     """Closed-loop lock acquisition on a decimated loop grid.
@@ -318,8 +265,7 @@ def simulate_lock(
     deterministic averaged voltages a0*(cos+sin), a0*(cos-sin) (no AWGN,
     no photodetector filter), which keeps the loop dynamics identical and
     is useful for long runs and small-signal characterization; a scenario
-    with beat phase noise is rejected there.  ``actuator_range_rad``
-    clamps the phase shifter output.  ``phase_drive`` is an optional
+    with beat phase noise is rejected there.  ``phase_drive`` is an optional
     callable t -> rad added to the input phase for loop-response probing.
 
     Non-convergence shows up as ``locked=False`` in the report, never as
@@ -351,23 +297,18 @@ def simulate_lock(
     a0 = constellation.a0
     if data_path == "averaged":
         source = _averaged_blocks(a0, dt_loop)
-        metadata = {"data_path": "averaged", "dt_loop_s": dt_loop}
     else:
-        n0 = scenario.awgn_n0(constellation)
-        noise_sigma = math.sqrt(n0 / 2.0) if n0 else 0.0
         source = _symbol_blocks(
-            scenario, constellation, seed, decimation, samples_per_symbol, noise_sigma
+            scenario, constellation, seed, decimation, samples_per_symbol,
+            scenario.awgn_n0(constellation),
         )
-        metadata = {
-            "data_path": "symbols",
-            "dt_loop_s": dt_loop,
-            "samples_per_symbol": samples_per_symbol,
-            "n0": n0,
-        }
     next(source)
 
     error_scale = params.k_pd_v_per_rad / (2.0 * a0)
-    comparator = HystereticSign(threshold=HYSTERESIS_FRACTION * 2.0 * a0)
+    # Method 1's select comparator keeps its sign until i+q crosses the
+    # hysteresis band, so it does not chatter near zero.
+    threshold = HYSTERESIS_FRACTION * 2.0 * a0
+    sel = 1.0
     lf_state = FirstOrderState()
     ps_state = FirstOrderState()
 
@@ -384,7 +325,8 @@ def simulate_lock(
         i_avg, q_avg, dphi = source.send((phi_in, psi))
 
         if method is DetectorMethod.METHOD1:
-            sel = comparator.update(i_avg + q_avg)
+            if abs(i_avg + q_avg) > threshold:
+                sel = math.copysign(1.0, i_avg + q_avg)
             e_raw = -sel * (i_avg - q_avg)
         else:
             e_raw = error_method2(i_avg, q_avg)
@@ -392,13 +334,10 @@ def simulate_lock(
         # Negative-slope detector, inverting driver path: net feedback
         # pulls psi toward the input phase.
         v_lf = step_loop_filter(lf_state, -e_v, dt_loop, params)
-        psi_new = step_phase_shifter(
-            ps_state, params.k_driver_v_per_v * v_lf, dt_loop, params,
-            actuator_range_rad,
-        )
+        psi_new = step_phase_shifter(ps_state, params.k_driver_v_per_v * v_lf, dt_loop, params)
         psi_rec[k] = psi
         dphi_rec[k] = dphi
         err_rec[k] = e_v
         psi = psi_new
 
-    return _finish_report(t_rec, psi_rec, dphi_rec, err_rec, method, metadata)
+    return _finish_report(t_rec, psi_rec, dphi_rec, err_rec, method)

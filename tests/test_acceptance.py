@@ -33,11 +33,14 @@ from oqamcpr.ber import (
     semi_analytic_ser,
 )
 from oqamcpr.channel import (
+    DEFAULT_REFRACTIVE_INDEX,
+    SPEED_OF_LIGHT_M_S,
+    BeatNoise,
     ChannelScenario,
     LaserModel,
     PathMismatch,
-    generate_phase_noise,
     rotate_symbol,
+    stream_rng,
 )
 from oqamcpr.cli import run_scenario
 from oqamcpr.constellation import average_symbol_energy, build_constellation, demap_point, map_bits
@@ -397,10 +400,13 @@ def test_criterion_10_property_bundle(tmp_path):
     if not np.allclose(ip**2 + qp**2, (i + 0.1) ** 2 + (q + 0.1) ** 2, rtol=1e-10):
         failures.append("rotation isometry")
 
-    # Wiener increment statistics
-    path = generate_phase_noise(LaserModel(1e6), 1e-11, 500_001, seed=3)
-    inc_var = float(np.var(np.diff(path.samples)))
-    if abs(inc_var - 2 * math.pi * 1e6 * 1e-11) > 0.02 * 2 * math.pi * 1e6 * 1e-11:
+    # Wiener increment statistics of the lock path's beat source: through a
+    # one-sample delay (tau = dt) the beat phase is the increment sequence
+    one_sample = PathMismatch(1e-11 * SPEED_OF_LIGHT_M_S / DEFAULT_REFRACTIVE_INDEX)
+    beat = BeatNoise(LaserModel(1e6), one_sample, 1e-11, stream_rng(3, 0x10C))
+    inc_var = float(np.var(beat.draw(500_000)))
+    inc_expected = 2 * math.pi * 1e6 * 1e-11
+    if beat.delay_samples != 1 or abs(inc_var - inc_expected) > 0.02 * inc_expected:
         failures.append("Wiener increments")
 
     # detector oddness and modulation-order independence

@@ -6,51 +6,72 @@ from scipy.signal import welch
 from scipy.special import erfc
 
 from oqamcpr.channel import (
+    DEFAULT_REFRACTIVE_INDEX,
+    SPEED_OF_LIGHT_M_S,
+    BeatNoise,
     ChannelScenario,
     LaserModel,
     PathMismatch,
     add_awgn,
-    beat_phase,
     delay_in_samples,
-    generate_phase_noise,
-    pd_filter,
+    one_pole_lowpass,
     received_trace,
     rotate_symbol,
+    stream_rng,
 )
 from oqamcpr.constellation import build_constellation
+
+
+def wiener_increments(linewidth_hz, dt_s, n, seed):
+    """Beat phase through a one-sample delay (tau = dt): the Wiener increments.
+
+    Drawn from the lock path's stream key, so these are the draws a lock
+    run with the same seed and geometry would use.
+    """
+    mismatch = PathMismatch(dt_s * SPEED_OF_LIGHT_M_S / DEFAULT_REFRACTIVE_INDEX)
+    beat = BeatNoise(LaserModel(linewidth_hz), mismatch, dt_s, stream_rng(seed, 0x10C))
+    assert beat.delay_samples == 1
+    return beat.draw(n)
+
+
+def untouched(rng, seed):
+    return rng.bit_generator.state == stream_rng(seed, 0x10C).bit_generator.state
 
 
 class TestPhaseNoisePath:
     def test_increment_variance_matches_closed_form(self):
         lw, dt = 1e6, 10e-12
-        path = generate_phase_noise(LaserModel(lw), dt, 1_000_001, seed=11)
-        inc = np.diff(path.samples)
+        inc = wiener_increments(lw, dt, 1_000_000, seed=11)
         expected = 2 * math.pi * lw * dt
         assert np.var(inc) == pytest.approx(expected, rel=0.01)
 
     def test_zero_linewidth_gives_constant_path(self):
-        path = generate_phase_noise(LaserModel(0.0, initial_phase_rad=0.3), 1e-9, 1000, seed=1)
-        assert np.all(path.samples == 0.3)
+        rng = stream_rng(1, 0x10C)
+        beat = BeatNoise(LaserModel(0.0), PathMismatch(0.1), 1e-12, rng)
+        assert beat.delay_samples == 0
+        assert beat.draw(1000) is None
+        assert untouched(rng, 1)
 
     def test_deterministic_per_seed(self):
-        a = generate_phase_noise(LaserModel(1e6), 1e-11, 1000, seed=5)
-        b = generate_phase_noise(LaserModel(1e6), 1e-11, 1000, seed=5)
-        c = generate_phase_noise(LaserModel(1e6), 1e-11, 1000, seed=6)
-        assert np.array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        a = wiener_increments(1e6, 1e-11, 1000, seed=5)
+        b = wiener_increments(1e6, 1e-11, 1000, seed=5)
+        c = wiener_increments(1e6, 1e-11, 1000, seed=6)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="dt"):
-            generate_phase_noise(LaserModel(1e6), 0.0, 10, seed=1)
-        with pytest.raises(ValueError, match="count"):
-            generate_phase_noise(LaserModel(1e6), 1e-12, 0, seed=1)
+            BeatNoise(LaserModel(1e6), PathMismatch(0.1), 0.0, stream_rng(1, 0x10C))
+        beat = BeatNoise(LaserModel(1e6), PathMismatch(0.1), 1e-12, stream_rng(1, 0x10C))
+        with pytest.raises(ValueError, match="block length"):
+            beat.draw(0)
         with pytest.raises(ValueError, match="linewidth"):
             LaserModel(-1.0)
 
     def test_periodogram_matches_wiener_psd_over_two_decades(self):
         lw, dt = 1e6, 1e-11
-        path = generate_phase_noise(LaserModel(lw), dt, 2**21, seed=5)
-        f, pxx = welch(path.samples, fs=1 / dt, nperseg=2**16, detrend="constant")
+        path = np.cumsum(wiener_increments(lw, dt, 2**21, seed=5))
+        f, pxx = welch(path, fs=1 / dt, nperseg=2**16, detrend="constant")
         for lo, hi in [(2e7, 2e8), (2e8, 2e9)]:
             band = (f >= lo) & (f < hi)
             model = lw / (2 * np.pi * f[band] ** 2)
@@ -64,25 +85,41 @@ class TestBeatPhase:
         assert mm.tau_s == pytest.approx(4.897e-10, rel=1e-3)
 
     def test_zero_mismatch_zero_beat(self):
-        path = generate_phase_noise(LaserModel(1e6), 1e-12, 1000, seed=2)
-        beat = beat_phase(path, PathMismatch(0.0), 0.0)
-        assert np.all(beat.samples == 0.0)
-
-    def test_linear_in_static_offset(self):
-        path = generate_phase_noise(LaserModel(1e6), 1e-13, 500, seed=3)
-        mm = PathMismatch(0.1)
-        b0 = beat_phase(path, mm, 0.0)
-        b1 = beat_phase(path, mm, 0.25)
-        assert np.allclose(b1.samples - b0.samples, 0.25, atol=1e-15)
+        rng = stream_rng(2, 0x10C)
+        beat = BeatNoise(LaserModel(1e6), PathMismatch(0.0), 1e-12, rng)
+        assert beat.draw(1000) is None
+        assert untouched(rng, 2)
 
     def test_free_running_variance_matches_increment_formula(self):
         lw = 1e6
         mm = PathMismatch(0.1)
         dt = mm.tau_s / 4
-        path = generate_phase_noise(LaserModel(lw), dt, 2_000_000, seed=13)
-        beat = beat_phase(path, mm, 0.0)
+        beat = BeatNoise(LaserModel(lw), mm, dt, stream_rng(13, 0x10C))
+        theta = np.concatenate([beat.draw(2000) for _ in range(1000)])
         expected = 2 * math.pi * lw * mm.tau_s
-        assert np.var(beat.samples[beat.delay_samples:]) == pytest.approx(expected, rel=0.02)
+        assert np.var(theta[beat.delay_samples:]) == pytest.approx(expected, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "delta_l_m, blocks",
+        [
+            (0.1, [2000] * 5),
+            (0.1, [98] * 30),
+            (100.0, [2000] * 60),
+            (1.0, [50, 400, 1000, 3000, 200, 5000]),
+        ],
+        ids=["d<n", "d=n", "d>>n", "growing-blocks"],
+    )
+    def test_blocks_match_one_shot_reference(self, delta_l_m, blocks):
+        lw, dt = 1e6, 5e-12
+        mm = PathMismatch(delta_l_m)
+        beat = BeatNoise(LaserModel(lw), mm, dt, stream_rng(4, 0x10C))
+        theta = np.concatenate([beat.draw(n) for n in blocks])
+
+        d = beat.delay_samples
+        assert d == delay_in_samples(mm.tau_s, dt)
+        inc = stream_rng(4, 0x10C).normal(0.0, math.sqrt(2 * math.pi * lw * dt), theta.size)
+        phi = np.concatenate((np.zeros(d), np.cumsum(inc)))
+        assert np.max(np.abs(theta - (phi[d:] - phi[:-d]))) < 1e-12
 
     def test_coarse_non_divisor_dt_rejected(self):
         with pytest.raises(ValueError, match="tau"):
@@ -122,22 +159,22 @@ class TestRotation:
 class TestAwgn:
     def test_zero_n0_identity(self):
         x = np.arange(10.0)
-        assert np.array_equal(add_awgn(x, 0.0, seed=1), x)
+        assert np.array_equal(add_awgn(x, 0.0, stream_rng(1, 0xA36)), x)
 
     def test_negative_n0_rejected(self):
         with pytest.raises(ValueError, match="n0"):
-            add_awgn([1.0], -1e-3, seed=1)
+            add_awgn([1.0], -1e-3, stream_rng(1, 0xA36))
 
     def test_variance_half_n0_per_dimension(self):
         n0 = 0.37
         x = np.zeros(1_000_000)
-        y = add_awgn(x, n0, seed=21)
+        y = add_awgn(x, n0, stream_rng(21, 0xA36))
         assert np.var(y) == pytest.approx(n0 / 2, rel=0.01)
 
     def test_tail_probability_matches_erfc_form(self):
         # P(noise < -a/2) should equal erfc(a / (2 sqrt(n0))) / 2
         a, n0 = 1.0, 0.1
-        noise = add_awgn(np.zeros(10_000_000), n0, seed=22)
+        noise = add_awgn(np.zeros(10_000_000), n0, stream_rng(22, 0xA36))
         p_hat = np.mean(noise < -a / 2)
         p = 0.5 * erfc(a / (2 * math.sqrt(n0)))
         sigma_hat = math.sqrt(p * (1 - p) / noise.size)
@@ -147,7 +184,7 @@ class TestAwgn:
 class TestPdFilter:
     def test_unity_dc_gain(self):
         dt, bw = 1e-12, 50e9
-        y = pd_filter(np.ones(20000), dt, bw)
+        y, _ = one_pole_lowpass(np.ones(20000), dt, bw)
         assert y[-1] == pytest.approx(1.0, rel=1e-6)
 
     def test_minus_3db_at_bandwidth(self):
@@ -155,7 +192,7 @@ class TestPdFilter:
         dt = 1 / (200 * bw)
         t = np.arange(400_000) * dt
         x = np.sin(2 * math.pi * bw * t)
-        y = pd_filter(x, dt, bw)
+        y, _ = one_pole_lowpass(x, dt, bw)
         tail = y[200_000:]
         amp = math.sqrt(2 * np.mean(tail**2))
         assert amp == pytest.approx(1 / math.sqrt(2), rel=0.02)
@@ -163,13 +200,13 @@ class TestPdFilter:
     def test_step_time_constant(self):
         bw = 50e9
         dt = 1 / (1000 * bw)
-        y = pd_filter(np.ones(10000), dt, bw)
+        y, _ = one_pole_lowpass(np.ones(10000), dt, bw)
         t = (np.argmax(y >= 1 - math.exp(-1)) + 1) * dt
         assert t == pytest.approx(1 / (2 * math.pi * bw), rel=0.05)
 
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth"):
-            pd_filter([1.0], 1e-12, 0.0)
+            ChannelScenario(baud_rate_hz=100e9, pd_bandwidth_hz=0)
 
 
 class TestReceivedTrace:
