@@ -130,12 +130,16 @@ def open_loop_phase_deg(params: LoopParams, f_hz):
     return np.degrees(phase)
 
 
-def _bisect(func, lo: float, hi: float, rel_tol: float = 1e-5) -> float:
+# Relative bracket width at which a frequency bisection stops.
+BISECT_REL_TOL = 1e-5
+
+
+def _bisect(func, lo: float, hi: float) -> float:
     """Sign-change bisection in log-frequency space."""
     flo = func(lo)
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if hi - lo <= rel_tol * mid:
+        if hi - lo <= BISECT_REL_TOL * mid:
             return mid
         if (func(mid) > 0) == (flo > 0):
             lo = mid
@@ -256,13 +260,15 @@ def scale_to_closed_loop_bandwidth(params: LoopParams, target_hz: float) -> Loop
     return replace(params, k_lf_v_per_v=params.k_lf_v_per_v * mult)
 
 
-def reference_discrepancies(
-    metrics: BodeMetrics, reference: dict, rel_tol: float = 0.05
-) -> list[str]:
+# Relative deviation from a supplied reference metric that earns a note.
+REFERENCE_REL_TOL = 0.05
+
+
+def reference_discrepancies(metrics: BodeMetrics, reference: dict) -> list[str]:
     """Compare computed metrics against externally supplied reference values.
 
     Returns one note per metric whose computed value deviates from the
-    reference by more than rel_tol.  Keys are BodeMetrics field names;
+    reference by more than REFERENCE_REL_TOL.  Keys are BodeMetrics field names;
     notes follow the field order, so a replayed manifest (whose keys are
     sorted) writes them in the same order.
     """
@@ -275,7 +281,7 @@ def reference_discrepancies(
         got, ref = computed[key], reference[key]
         if got is None:
             notes.append(f"{key}: computed value absent, reference {ref:g}")
-        elif abs(got - ref) > rel_tol * abs(ref):
+        elif abs(got - ref) > REFERENCE_REL_TOL * abs(ref):
             notes.append(
                 f"{key}: computed {got:.6g} deviates from reference {ref:g} "
                 f"by {abs(got - ref) / abs(ref) * 100:.1f}%"

@@ -166,12 +166,19 @@ def conditional_bit_errors(
     return float(total[0]) if np.ndim(theta) == 0 else total
 
 
-def _integrate_over_phase(values_fn, sigma: float, quad_order: int, rel_tol: float):
+# Gauss-Legendre order of the phase integral and the relative agreement
+# its doubled-order rerun must reach.
+QUAD_ORDER = 201
+QUAD_REL_TOL = 0.01
+
+
+def _integrate_over_phase(values_fn, sigma: float):
     """Integral of values_fn(theta) against the Gaussian phase pdf.
 
     The pdf is used un-wrapped on [-pi, pi]; for small sigma the window
     shrinks to +/- 8 sigma where the integrand is supported.  The
-    quadrature order is doubled once and must agree within rel_tol.
+    quadrature order QUAD_ORDER is doubled once and must agree within
+    QUAD_REL_TOL.
     """
     if sigma == 0:
         return float(np.asarray(values_fn(np.array([0.0])))[0])
@@ -186,21 +193,16 @@ def _integrate_over_phase(values_fn, sigma: float, quad_order: int, rel_tol: flo
         vals = np.asarray(values_fn(theta))
         return float(np.sum(w * half_width * pdf * vals))
 
-    coarse = run(quad_order)
-    fine = run(2 * quad_order + 1)
-    if abs(fine - coarse) > rel_tol * abs(fine) and abs(fine - coarse) > 1e-30:
+    coarse = run(QUAD_ORDER)
+    fine = run(2 * QUAD_ORDER + 1)
+    if abs(fine - coarse) > QUAD_REL_TOL * abs(fine) and abs(fine - coarse) > 1e-30:
         raise ConvergenceError(
             f"phase quadrature did not converge: {coarse:.6g} vs {fine:.6g}"
         )
     return fine
 
 
-def semi_analytic_ser(
-    c: OffsetQamConstellation,
-    env: NoiseEnvironment,
-    quad_order: int = 201,
-    rel_tol: float = 0.01,
-) -> float:
+def semi_analytic_ser(c: OffsetQamConstellation, env: NoiseEnvironment) -> float:
     """Symbol error rate with equiprobable symbols.
 
     The Gaussian-on-circle approximation is sane for sigma below about
@@ -214,28 +216,13 @@ def semi_analytic_ser(
             "approximation's comfort zone (< 1 rad)",
             stacklevel=2,
         )
-    return _integrate_over_phase(
-        lambda th: _ser_at(c, th, env.n0), env.sigma_pn_rad, quad_order, rel_tol
-    )
+    return _integrate_over_phase(lambda th: _ser_at(c, th, env.n0), env.sigma_pn_rad)
 
 
-def semi_analytic_ber(
-    c: OffsetQamConstellation,
-    env: NoiseEnvironment,
-    quad_order: int = 201,
-    rel_tol: float = 0.01,
-) -> float:
+def semi_analytic_ber(c: OffsetQamConstellation, env: NoiseEnvironment) -> float:
     """Exact Gray-coded bit error rate (expected bit flips / bits per symbol)."""
-    bits = c.bits_per_symbol
-    return (
-        _integrate_over_phase(
-            lambda th: _bit_errors_at(c, th, env.n0),
-            env.sigma_pn_rad,
-            quad_order,
-            rel_tol,
-        )
-        / bits
-    )
+    bit_flips = _integrate_over_phase(lambda th: _bit_errors_at(c, th, env.n0), env.sigma_pn_rad)
+    return bit_flips / c.bits_per_symbol
 
 
 def ber_from_ser(ser: float, order: int) -> float:
@@ -245,13 +232,11 @@ def ber_from_ser(ser: float, order: int) -> float:
     return ser / math.log2(order)
 
 
-def monte_carlo_ber(
-    c: OffsetQamConstellation,
-    env: NoiseEnvironment,
-    num_symbols: int,
-    seed: int,
-    chunk_size: int = 1_000_000,
-):
+# Symbols drawn per batch, which bounds the oracle's memory.
+MC_CHUNK_SYMBOLS = 1_000_000
+
+
+def monte_carlo_ber(c: OffsetQamConstellation, env: NoiseEnvironment, num_symbols: int, seed: int):
     """Monte Carlo oracle: draws, rotates, adds noise, and hard-decides.
 
     Per-symbol residual phases are N(0, sigma^2); noise is n0/2 per axis.
@@ -269,7 +254,7 @@ def monte_carlo_ber(
     bit_errors = 0
     remaining = num_symbols
     while remaining > 0:
-        n = min(remaining, chunk_size)
+        n = min(remaining, MC_CHUNK_SYMBOLS)
         remaining -= n
         idx = rng.integers(0, c.order, n)
         px = c.points[idx, 0]
@@ -323,12 +308,7 @@ def _interp_threshold(snr_db, ber, target: float) -> float | None:
     return None
 
 
-def snr_sweep(
-    c: OffsetQamConstellation,
-    sigma_pn_rad: float,
-    snr_grid_db,
-    quad_order: int = 201,
-) -> SweepResult:
+def snr_sweep(c: OffsetQamConstellation, sigma_pn_rad: float, snr_grid_db) -> SweepResult:
     """Semi-analytic BER over an Es/N0 grid (dB), plus the KP4 crossing.
 
     The reported BER follows the ser / log2(order) convention.  The FEC
@@ -340,9 +320,7 @@ def snr_sweep(
         raise ValueError("snr_grid_db must be strictly increasing with >= 2 points")
     ser = np.empty(snr_db.size)
     for i, snr in enumerate(snr_db):
-        ser[i] = semi_analytic_ser(
-            c, NoiseEnvironment(n0_from_snr_db(c, snr), sigma_pn_rad), quad_order=quad_order
-        )
+        ser[i] = semi_analytic_ser(c, NoiseEnvironment(n0_from_snr_db(c, snr), sigma_pn_rad))
     ber = ser / math.log2(c.order)
     return SweepResult(
         snr_db=snr_db,
@@ -353,15 +331,14 @@ def snr_sweep(
     )
 
 
-def required_snr_db(
-    c: OffsetQamConstellation,
-    sigma_pn_rad: float,
-    ber_target: float = KP4_BER_THRESHOLD,
-    lo_db: float = 0.0,
-    hi_db: float = 40.0,
-    tol_db: float = 1e-3,
-) -> float:
-    """Es/N0 needed to reach the target BER (bisection, 1e-3 dB)."""
+# Es/N0 bracket (dB) searched for the KP4 crossing, and the bisection's
+# final bracket width (dB).
+SNR_BRACKET_DB = (0.0, 40.0)
+SNR_TOL_DB = 1e-3
+
+
+def required_snr_db(c: OffsetQamConstellation, sigma_pn_rad: float) -> float:
+    """Es/N0 needed to reach the KP4 BER (bisection to SNR_TOL_DB)."""
 
     def ber_at(snr_db: float) -> float:
         return ber_from_ser(
@@ -369,12 +346,15 @@ def required_snr_db(
             c.order,
         )
 
-    if ber_at(lo_db) < ber_target or ber_at(hi_db) > ber_target:
-        raise ValueError("ber_target not bracketed by [lo_db, hi_db]")
-    lo, hi = lo_db, hi_db
-    while hi - lo > tol_db:
+    lo, hi = SNR_BRACKET_DB
+    if ber_at(lo) < KP4_BER_THRESHOLD or ber_at(hi) > KP4_BER_THRESHOLD:
+        raise ValueError(
+            f"KP4 BER {KP4_BER_THRESHOLD:g} not bracketed by Es/N0 [{lo:g}, {hi:g}] dB "
+            f"at sigma_pn={sigma_pn_rad:g} rad"
+        )
+    while hi - lo > SNR_TOL_DB:
         mid = 0.5 * (lo + hi)
-        if ber_at(mid) > ber_target:
+        if ber_at(mid) > KP4_BER_THRESHOLD:
             lo = mid
         else:
             hi = mid

@@ -2,10 +2,11 @@
 
 Covers the stochastic and deterministic signal path outside the recovery
 loop: the streaming beat phase of Wiener laser phase noise seen through an
-LO/Rx path length mismatch (``BeatNoise``, the one source the lock loop
-draws from), rotation of offset-QAM symbols by a phase error, additive
-white Gaussian noise, and the single-pole low-pass that models both the
-photodetector bandwidth and the loop's averaging filter.
+LO/Rx path length mismatch (``BeatNoise``, the one source that the lock
+loop and the eye trace draw from), rotation of offset-QAM symbols by a
+phase error, additive white Gaussian noise, and the single-pole low-pass
+that models both the photodetector bandwidth and the loop's averaging
+filter.
 
 Stochastic helpers draw from a ``numpy.random.Generator`` handed in by the
 caller; streams are spawned with ``stream_rng(seed, *key)`` so independent
@@ -90,7 +91,6 @@ class ChannelScenario:
     snr_db: float | None = None
     n0: float | None = None
     pd_bandwidth_hz: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.baud_rate_hz <= 0:
@@ -238,25 +238,28 @@ def received_trace(
     constellation: OffsetQamConstellation,
     scenario: ChannelScenario,
     num_symbols: int,
+    seed: int,
     samples_per_symbol: int = 2,
-    delta_phi_rad: float | None = None,
 ):
     """Open-loop received I/Q trace for eye-diagram style inspection.
 
-    Random symbols are rotated by a fixed phase error (scenario.phi_offset
-    unless delta_phi_rad overrides it), optionally low-passed by the
+    Random symbols are rotated per sample by scenario.phi_offset_rad plus
+    the beat phase of the scenario's laser and mismatch (``BeatNoise`` at
+    the sample step, on a stream of its own), optionally low-passed by the
     photodetector model, and corrupted by AWGN per the scenario noise
     specification.  Returns (t_s, i, q) sample arrays.
     """
     if num_symbols < 1:
         raise ValueError("num_symbols must be >= 1")
-    dphi = scenario.phi_offset_rad if delta_phi_rad is None else delta_phi_rad
     dt = 1.0 / (scenario.baud_rate_hz * samples_per_symbol)
 
-    idx = symbol_stream(constellation, num_symbols, scenario.seed)
+    idx = symbol_stream(constellation, num_symbols, seed)
     rel = constellation.points[idx] - constellation.a0
     i_sym = np.repeat(rel[:, 0], samples_per_symbol)
     q_sym = np.repeat(rel[:, 1], samples_per_symbol)
+    beat = BeatNoise(scenario.laser, scenario.mismatch, dt, stream_rng(seed, 0xE7E))
+    theta = beat.draw(i_sym.size)
+    dphi = scenario.phi_offset_rad if theta is None else scenario.phi_offset_rad + theta
     i_rx, q_rx = rotate_symbol(i_sym, q_sym, constellation.a0, dphi)
 
     if scenario.pd_bandwidth_hz is not None:
@@ -265,8 +268,8 @@ def received_trace(
 
     n0 = scenario.awgn_n0(constellation)
     if n0:
-        i_rx = add_awgn(i_rx, n0, stream_rng(scenario.seed, 0xA36))
-        q_rx = add_awgn(q_rx, n0, stream_rng(scenario.seed + 1, 0xA36))
+        i_rx = add_awgn(i_rx, n0, stream_rng(seed, 0xA36))
+        q_rx = add_awgn(q_rx, n0, stream_rng(seed + 1, 0xA36))
 
     t = np.arange(i_rx.size) * dt
     return t, i_rx, q_rx

@@ -186,6 +186,7 @@ def _run_trace(sc: ScenarioConfig) -> Table:
         sc.constellation(),
         sc.scenario(),
         num_symbols=run.get("num_symbols", 1000),
+        seed=run["seed"],
         **_given(run, "samples_per_symbol"),
     )
     return Table({"time_s": t, "i": i, "q": q}, [], {"samples": int(len(t))}, [], None)
@@ -227,6 +228,14 @@ def run_scenario(source, output_dir: str | None = None) -> RunResult:
     runs = [(f"{label}_{slug}", v) for slug, v in variants.items()] or [(label, cfg)]
     tables = {variant_label: runner(ScenarioConfig(v)) for variant_label, v in runs}
 
+    # The SVG is drawn first: a plot that cannot be drawn fails the run
+    # before any file is written.
+    plot = next(iter(tables.values())).plot  # the same for every variant
+    svg = None
+    if run.get("svg") and plot is not None:
+        series = [(variant_label, t.columns) for variant_label, t in tables.items()]
+        svg = emit_svg(series, {**plot, "title": label}, outdir / f"{label}.svg")
+
     result = RunResult()
     for variant_label, table in tables.items():
         columns = table.columns
@@ -234,13 +243,10 @@ def run_scenario(source, output_dir: str | None = None) -> RunResult:
             outdir / f"{variant_label}.csv", tuple(columns), zip(*columns.values()), table.comments
         ))
         result.notes.extend(table.notes)
+    if svg is not None:
+        result.files.append(svg)
     per_variant_metrics = {variant_label: t.metrics for variant_label, t in tables.items()}
     result.metrics = per_variant_metrics if variants else per_variant_metrics[label]
-
-    plot = next(iter(tables.values())).plot  # the same for every variant
-    if run.get("svg") and plot is not None:
-        series = [(variant_label, t.columns) for variant_label, t in tables.items()]
-        result.files.append(emit_svg(series, {**plot, "title": label}, outdir / f"{label}.svg"))
 
     manifest_payload = {
         "tool": TOOL_NAME,

@@ -287,7 +287,6 @@ class ScenarioConfig:
             snr_db=chan.get("snr_db"),
             n0=chan.get("n0"),
             pd_bandwidth_hz=chan.get("pd_bandwidth_hz"),
-            seed=self.data["run"]["seed"],
         )
 
     def snr_grid_db(self) -> list[float]:

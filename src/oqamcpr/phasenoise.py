@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import LoopParams, bode_metrics, open_loop_response
+from .analysis import LoopParams, bode_metrics, log_frequency_grid, open_loop_response
 from .errors import ConvergenceError
 
 
@@ -30,9 +30,6 @@ class ShapedPhaseNoise:
     freqs_hz: np.ndarray
     psd_rad2_per_hz: np.ndarray
     variance_rad2: float
-    linewidth_hz: float
-    tau_s: float
-    params: LoopParams | None
 
 
 def laser_psd(f_hz, linewidth_hz: float):
@@ -81,17 +78,16 @@ def default_integration_band(
     return f_min, f_max
 
 
+# Log-grid density of the shaped spectrum and of the variance integral, and
+# the relative agreement the integral must reach when the grid is doubled.
+GRID_POINTS_PER_DECADE = 200
+GRID_REL_TOL = 0.01
+
+
 def _grid_integral(
-    linewidth_hz: float,
-    tau_s: float,
-    params: LoopParams | None,
-    f_min: float,
-    f_max: float,
-    points_per_decade: int,
+    linewidth_hz: float, tau_s: float, params: LoopParams | None, band, points_per_decade: int
 ) -> float:
-    decades = math.log10(f_max / f_min)
-    n = int(round(decades * points_per_decade)) + 1
-    f = np.logspace(math.log10(f_min), math.log10(f_max), n)
+    f = log_frequency_grid(*band, points_per_decade)
     s = shaped_psd(f, linewidth_hz, tau_s, params)
     return 2.0 * float(np.trapezoid(s, f))
 
@@ -102,38 +98,24 @@ def _tail_closure(linewidth_hz: float, f_max: float) -> float:
     return 2.0 * linewidth_hz / (math.pi * f_max)
 
 
-def total_variance(
-    linewidth_hz: float,
-    tau_s: float,
-    params: LoopParams | None,
-    f_min_hz: float | None = None,
-    f_max_hz: float | None = None,
-    points_per_decade: int = 200,
-    rel_tol: float = 0.01,
-) -> float:
+def total_variance(linewidth_hz: float, tau_s: float, params: LoopParams | None) -> float:
     """Integrated beat-phase variance sigma^2 in rad^2.
 
-    Trapezoidal rule on a log grid (factor 2 folds the symmetric
-    negative-frequency half) plus an analytic closure for the 1/f^2 tail
-    above the upper limit.  The grid is doubled once and the result must
-    agree within rel_tol, else a ConvergenceError reports both estimates.
+    Trapezoidal rule on a log grid over ``default_integration_band``
+    (factor 2 folds the symmetric negative-frequency half) plus an analytic
+    closure for the 1/f^2 tail above the upper limit.  The grid is doubled
+    once and the result must agree within GRID_REL_TOL, else a
+    ConvergenceError reports both estimates.
     """
     if tau_s < 0 or linewidth_hz < 0:
         raise ValueError("linewidth_hz and tau_s must be >= 0")
     if tau_s == 0 or linewidth_hz == 0:
         return 0.0
-    lo, hi = default_integration_band(tau_s, params)
-    if f_min_hz is not None:
-        lo = f_min_hz
-    if f_max_hz is not None:
-        hi = f_max_hz
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < f_min < f_max")
-
-    coarse = _grid_integral(linewidth_hz, tau_s, params, lo, hi, points_per_decade)
-    fine = _grid_integral(linewidth_hz, tau_s, params, lo, hi, 2 * points_per_decade)
-    tail = _tail_closure(linewidth_hz, hi)
-    if abs(fine - coarse) > rel_tol * abs(fine):
+    band = default_integration_band(tau_s, params)
+    coarse = _grid_integral(linewidth_hz, tau_s, params, band, GRID_POINTS_PER_DECADE)
+    fine = _grid_integral(linewidth_hz, tau_s, params, band, 2 * GRID_POINTS_PER_DECADE)
+    tail = _tail_closure(linewidth_hz, band[1])
+    if abs(fine - coarse) > GRID_REL_TOL * abs(fine):
         raise ConvergenceError(
             "phase-noise variance integral did not converge under grid "
             f"doubling: {coarse + tail:.6g} vs {fine + tail:.6g} rad^2"
@@ -142,28 +124,15 @@ def total_variance(
 
 
 def shaped_spectrum(
-    linewidth_hz: float,
-    tau_s: float,
-    params: LoopParams | None,
-    points_per_decade: int = 200,
+    linewidth_hz: float, tau_s: float, params: LoopParams | None
 ) -> ShapedPhaseNoise:
     """PSD curve on the default band together with the total variance."""
-    lo, hi = default_integration_band(tau_s if tau_s > 0 else 1e-9, params)
-    f = np.logspace(
-        math.log10(lo), math.log10(hi),
-        int(round(math.log10(hi / lo) * points_per_decade)) + 1,
-    )
+    band = default_integration_band(tau_s if tau_s > 0 else 1e-9, params)
+    f = log_frequency_grid(*band, GRID_POINTS_PER_DECADE)
     psd = np.asarray(shaped_psd(f, linewidth_hz, tau_s, params))
     if tau_s > 0 and linewidth_hz > 0:
         var = total_variance(linewidth_hz, tau_s, params)
     else:
         var = 0.0
         psd = np.zeros_like(f)
-    return ShapedPhaseNoise(
-        freqs_hz=f,
-        psd_rad2_per_hz=psd,
-        variance_rad2=var,
-        linewidth_hz=linewidth_hz,
-        tau_s=tau_s,
-        params=params,
-    )
+    return ShapedPhaseNoise(freqs_hz=f, psd_rad2_per_hz=psd, variance_rad2=var)

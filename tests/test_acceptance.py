@@ -137,7 +137,7 @@ def test_criterion_2_bode_metrics_cross_check(tmp_path):
 @pytest.mark.parametrize("order", [4, 16])
 def test_criterion_3_lock_transient(order):
     c = build_constellation(order, 1.0, 0.1)
-    scenario = ChannelScenario(baud_rate_hz=100e9, phi_offset_rad=math.pi / 4, seed=7)
+    scenario = ChannelScenario(baud_rate_hz=100e9, phi_offset_rad=math.pi / 4)
     report = simulate_lock(
         scenario, c, DEFAULT_LOOP, DetectorMethod.METHOD1, duration_s=5e-4, seed=7
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from oqamcpr import ber as ber_module
 from oqamcpr.ber import (
     KP4_BER_THRESHOLD,
     NoiseEnvironment,
@@ -18,7 +19,8 @@ from oqamcpr.ber import (
     semi_analytic_ser,
     snr_sweep,
 )
-from oqamcpr.constellation import average_symbol_energy, build_constellation
+from oqamcpr.constellation import average_symbol_energy, build_constellation, n0_from_snr_db
+from oqamcpr.errors import ConvergenceError
 
 
 def find_symbol(c, i_level, q_level):
@@ -179,6 +181,15 @@ class TestSemiAnalytic:
             np.mean([conditional_symbol_error(c, s, 0.0, env) for s in range(16)])
         )
         assert semi_analytic_ser(c, env) == pytest.approx(direct, rel=1e-12)
+
+    def test_quadrature_nonconvergence_names_both_estimates(self, monkeypatch):
+        # Two nodes over +/- 8 sigma miss the phase pdf's peak: the doubled
+        # order gives about twice the SER, so the agreement check fires.
+        monkeypatch.setattr(ber_module, "QUAD_ORDER", 2)
+        c = build_constellation(16, 1.0, 0.1)
+        env = NoiseEnvironment(n0_from_snr_db(c, 20.0), 0.1)
+        with pytest.raises(ConvergenceError, match=r"converge: 0\.0001\d* vs 0\.0002\d*$"):
+            semi_analytic_ser(c, env)
 
     def test_large_sigma_warns(self):
         c = build_constellation(4, 1.0, 0.1)

@@ -217,21 +217,37 @@ class TestReceivedTrace:
             phi_offset_rad=math.pi / 4,
             snr_db=15.0,
             pd_bandwidth_hz=50e9,
-            seed=3,
         )
-        t, i, q = received_trace(c, sc, num_symbols=100, samples_per_symbol=4)
-        t2, i2, q2 = received_trace(c, sc, num_symbols=100, samples_per_symbol=4)
+        t, i, q = received_trace(c, sc, num_symbols=100, seed=3, samples_per_symbol=4)
+        t2, i2, q2 = received_trace(c, sc, num_symbols=100, seed=3, samples_per_symbol=4)
         assert len(t) == len(i) == len(q) == 400
         assert t[1] - t[0] == pytest.approx(1 / 400e9)
         assert np.array_equal(i, i2) and np.array_equal(q, q2)
 
     def test_noiseless_trace_hits_rotated_points(self):
         c = build_constellation(4, 1.0, 0.1)
-        sc = ChannelScenario(baud_rate_hz=100e9, phi_offset_rad=0.0, seed=3)
-        _, i, q = received_trace(c, sc, num_symbols=50, samples_per_symbol=1)
+        sc = ChannelScenario(baud_rate_hz=100e9, phi_offset_rad=0.0)
+        _, i, q = received_trace(c, sc, num_symbols=50, seed=3, samples_per_symbol=1)
         pts = {(round(x, 9), round(y, 9)) for x, y in zip(i, q)}
         allowed = {(round(p[0], 9), round(p[1], 9)) for p in c.points}
         assert pts <= allowed
+
+    def test_trace_rotates_by_beat_phase(self):
+        # 10 cm is a 98-sample delay, so the 400 samples also reach past it.
+        c = build_constellation(4, 1.0, 0.1)
+        laser, mismatch = LaserModel(1e6), PathMismatch(0.1)
+        clean = ChannelScenario(baud_rate_hz=100e9)
+        noisy = ChannelScenario(
+            baud_rate_hz=100e9, laser=laser, mismatch=mismatch, phi_offset_rad=0.2
+        )
+        _, i0, q0 = received_trace(c, clean, num_symbols=200, seed=3)
+        t, i1, q1 = received_trace(c, noisy, num_symbols=200, seed=3)
+        # A rotation by phi maps x + jy to (x + jy) exp(-j phi).
+        phase = np.angle((i0 + 1j * q0) / (i1 + 1j * q1))
+        beat = BeatNoise(laser, mismatch, t[1], stream_rng(3, 0xE7E))
+        theta = beat.draw(t.size)
+        assert np.std(theta) > 0.01
+        assert np.allclose(phase, 0.2 + theta, rtol=0, atol=1e-12)
 
     def test_snr_and_n0_mutually_exclusive(self):
         with pytest.raises(ValueError, match="snr_db or n0"):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oqamcpr import reports, svgplot
+from oqamcpr import ber, reports, svgplot
 from oqamcpr.cli import main, run_scenario
 from oqamcpr.config import ScenarioConfig, load_config, sweep_variants, validate_config
 from oqamcpr.errors import ConfigError
@@ -190,6 +190,33 @@ class TestCliCommands:
         rc = main(["run", str(path), "-o", str(tmp_path / "out")])
         assert rc == 3
         assert "non-convergence" in capsys.readouterr().err
+
+    def test_quadrature_nonconvergence_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ber, "QUAD_ORDER", 2)
+        rc = main(["run", str(write_cfg(tmp_path, BER_CFG)), "-o", str(tmp_path / "out")])
+        assert rc == 3
+        assert "phase quadrature did not converge" in capsys.readouterr().err
+
+    def test_unplottable_svg_writes_no_file(self, tmp_path, capsys):
+        # A clean link's PSD is all zeros, which a log axis cannot draw.
+        cfg = {"modulation": {"order": 4}, "run": {"mode": "psd", "svg": True}}
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        assert rc == 2
+        assert "no plottable data points" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    def test_trace_mismatch_finer_than_sample_step_exit_2(self, tmp_path, capsys):
+        cfg = {
+            "modulation": {"order": 4},
+            "laser": {"linewidth_hz": 1e6},
+            "mismatch": {"delta_l_m": 1e-4},
+            "run": {"mode": "trace", "num_symbols": 20},
+        }
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "delta_l_m" in err and "Traceback" not in err
 
     def test_presets_listing(self, capsys):
         rc = main(["presets"])

@@ -181,7 +181,7 @@ class TestPhaseShifter:
 
 class TestSimulateLock:
     def scenario(self, phi0=math.pi / 4, **kw):
-        return ChannelScenario(baud_rate_hz=100e9, phi_offset_rad=phi0, seed=5, **kw)
+        return ChannelScenario(baud_rate_hz=100e9, phi_offset_rad=phi0, **kw)
 
     def test_symbol_path_residual_matches_linear_model(self):
         c = build_constellation(4, 1.0, 0.1)
@@ -230,7 +230,6 @@ class TestSimulateLock:
             laser=LaserModel(1e6),
             mismatch=PathMismatch(0.1),
             phi_offset_rad=0.0,
-            seed=9,
             **receiver,
         )
         rep = simulate_lock(sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1e-4, seed=9)
@@ -244,7 +243,7 @@ class TestSimulateLock:
         # so each block's delayed phase comes from blocks drawn long before.
         c = build_constellation(16, 1.0, 0.1)
         sc = ChannelScenario(
-            baud_rate_hz=100e9, laser=LaserModel(1e6), mismatch=PathMismatch(100.0), seed=9
+            baud_rate_hz=100e9, laser=LaserModel(1e6), mismatch=PathMismatch(100.0)
         )
         rep = simulate_lock(sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1e-6, seed=9)
         assert len(rep.delta_phi_rad) == 100
@@ -263,7 +262,7 @@ class TestSimulateLock:
         ]
         for f, dtl, settle_s, nper in cases:
             amp = 1e-3
-            sc = ChannelScenario(baud_rate_hz=1.0 / dtl, phi_offset_rad=0.0, seed=1)
+            sc = ChannelScenario(baud_rate_hz=1.0 / dtl, phi_offset_rad=0.0)
             rep = simulate_lock(
                 sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1,
                 settle_s + nper / f, seed=1, decimation=1, data_path="averaged",
@@ -291,6 +290,6 @@ class TestSimulateLock:
 
     def test_rejects_too_coarse_loop_step(self):
         c = build_constellation(4, 1.0, 0.1)
-        sc = ChannelScenario(baud_rate_hz=1e6, phi_offset_rad=0.1, seed=1)
+        sc = ChannelScenario(baud_rate_hz=1e6, phi_offset_rad=0.1)
         with pytest.raises(ValueError, match="coarse"):
             simulate_lock(sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1.0, 1)
