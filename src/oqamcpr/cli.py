@@ -104,6 +104,9 @@ def _run_psd(sc: ScenarioConfig) -> Table:
     spectrum = phasenoise.shaped_spectrum(
         scen.laser.linewidth_hz, scen.mismatch.tau_s, sc.loop_params()
     )
+    if sc.data["run"].get("svg") and not np.any(spectrum.psd_rad2_per_hz > 0):
+        raise ConfigError("run.svg: no plottable data points: the PSD is zero unless "
+                          "laser.linewidth_hz and mismatch.delta_l_m are both > 0")
     metrics = {"variance_rad2": spectrum.variance_rad2}
     columns = {"f_hz": spectrum.freqs_hz, "psd_rad2_per_hz": spectrum.psd_rad2_per_hz}
     plot = {

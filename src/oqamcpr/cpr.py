@@ -14,8 +14,14 @@ shifter update once per decimated block, since the loop bandwidth sits
 five decades below the symbol rate.  Both dynamic blocks are discretized
 with the bilinear transform, which preserves DC gains exactly and is
 stable for any step size.  The symbol-rate data path takes its beat phase
-from ``channel.BeatNoise`` and its rotation and AWGN from ``channel``, so
-the loop runs the same channel model that the channel tests check.
+from ``channel.BeatNoise`` and its rotation from ``channel``, so the loop
+runs the same channel model that the channel tests check.  It filters no
+samples inside the loop: with alpha = input phase - psi the rotation is
+cos(alpha) and sin(alpha) times the data rotated by the beat phase alone,
+and the PD and averaging low-passes are linear, so a block's mean and the
+filters' end states are fixed weighted sums of its draws plus terms in the
+incoming states.  Each chunk of blocks is reduced to those sums at once,
+and the loop does only scalar work per block.
 """
 
 from __future__ import annotations
@@ -28,19 +34,13 @@ import numpy as np
 
 from . import analysis
 from .analysis import LoopParams
-from .channel import (
-    BeatNoise,
-    ChannelScenario,
-    add_awgn,
-    one_pole_lowpass,
-    rotate_symbol,
-    stream_rng,
-)
+from .channel import BeatNoise, ChannelScenario, one_pole_lowpass, rotate_symbol, stream_rng
 from .constellation import OffsetQamConstellation
 
 DEFAULT_AVERAGING_CUTOFF_HZ = 1e9
 HYSTERESIS_FRACTION = 0.01
 LOCK_TOLERANCE_RAD = math.radians(1.0)
+CHUNK_SAMPLES = 1 << 13  # per symbol-path buffer: 64 KiB, reused from the heap
 
 
 class DetectorMethod(enum.Enum):
@@ -182,14 +182,36 @@ def _averaged_blocks(a0: float, dt_loop: float):
         block = (i_avg, q_avg, dphi)
 
 
-def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol, n0):
+def _block_weights(n: int, dt_s: float, pd_cutoff_hz: float | None):
+    """Weights (wx, ww, s) of a block's PD low-pass, AWGN and averaging low-pass.
+
+    For PD input x, AWGN w and incoming states z = (z_pd, z_avg), the block mean
+    and the outgoing z_avg and z_pd are the rows of ``wx @ x + ww @ w + s @ z``."""
+    def through(rows, cutoff_hz):
+        # Weights on a low-pass's output and on its outgoing zi = a * y[n - 1]
+        # -> the same on its input (the filter run in reverse), and on its zi.
+        a = np.exp(-2.0 * np.pi * cutoff_hz * dt_s)
+        rows = np.vstack([rows, np.eye(1, n, n - 1) * a])
+        ins = [one_pole_lowpass(c[::-1], dt_s, cutoff_hz)[0][::-1] for c in rows]
+        return np.array(ins), rows @ a ** np.arange(n)
+
+    ww, s_avg = through(np.full((1, n), 1.0 / n), DEFAULT_AVERAGING_CUTOFF_HZ)
+    wx, s_pd = (through(ww, pd_cutoff_hz) if pd_cutoff_hz is not None
+                else (np.vstack([ww, np.zeros(n)]), np.zeros(3)))
+    return wx, ww, np.column_stack([s_pd, [*s_avg, 0.0]])
+
+
+def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol, n0, n_blocks):
     """Block source of the symbol-level data path.
 
     Receives (input phase, psi) and yields (i_avg, q_avg, dphi) for one
     block of ``decimation`` symbols: rotation by the per-sample phase
     error (input phase plus the channel's beat phase, minus psi),
     optional photodetector filter and AWGN, then the block mean of the
-    averaging low-pass; dphi is the phase error of the last sample.
+    averaging low-pass; dphi is the phase error of the last sample.  With
+    alpha = input phase - psi, i_rx = cos(alpha) U + sin(alpha) V and
+    q_rx = cos(alpha) V - sin(alpha) U, where (U, V) is the data rotated by
+    the beat phase alone.
     """
     a0 = constellation.a0
     dt_samp = 1.0 / (scenario.baud_rate_hz * samples_per_symbol)
@@ -204,37 +226,51 @@ def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol
     # the beat-phase increments, then the AWGN of each axis.
     rng = stream_rng(seed, 0x10C)
     beat = BeatNoise(scenario.laser, scenario.mismatch, dt_samp, rng)
+    sigma = math.sqrt(n0 / 2.0) if n0 else 0.0
 
-    pd_zi_i = pd_zi_q = avg_zi_i = avg_zi_q = None  # zero initial filter state
+    wx, ww, s = _block_weights(n_samp, dt_samp, scenario.pd_bandwidth_hz)
+    # With theta = 0, U = i_sym + a0 is constant over a symbol's samples.
+    wx_sym = wx.reshape(3, decimation, samples_per_symbol).sum(axis=2)
+    (m_pd, m_avg), (f_pd, f_avg), (p_pd, _) = s.tolist()
+    z_pd_i = z_pd_q = z_avg_i = z_avg_q = 0.0  # zero initial filter state
 
+    chunk = max(1, CHUNK_SAMPLES // n_samp)
     block = None
-    while True:
-        phi_in0, psi = yield block
-        i_sym = np.repeat(rng.permutation(balanced_base), samples_per_symbol)
-        q_sym = np.repeat(rng.permutation(balanced_base), samples_per_symbol)
-
-        theta = beat.draw(n_samp)
+    for first in range(0, n_blocks, chunk):
+        b = min(chunk, n_blocks - first)
+        sym = np.empty((b, 2, decimation))
+        theta = np.empty((b, n_samp)) if beat.delay_samples else None
+        noise = np.empty((b, 2, n_samp)) if sigma else None
+        for k in range(b):
+            sym[k] = rng.permutation(balanced_base), rng.permutation(balanced_base)
+            if theta is not None:
+                theta[k] = beat.draw(n_samp)
+            if sigma:  # the draws of channel.add_awgn on each axis
+                noise[k] = rng.standard_normal((2, n_samp))
         if theta is None:
-            dphi = dphi_end = phi_in0 - psi
+            u_sums, v_sums = (sym + a0).transpose(1, 0, 2) @ wx_sym.T
         else:
-            dphi = phi_in0 + theta - psi
-            dphi_end = float(dphi[-1])
-        i_rx, q_rx = rotate_symbol(i_sym, q_sym, a0, dphi)
-
-        if scenario.pd_bandwidth_hz is not None:
-            i_rx, pd_zi_i = one_pole_lowpass(i_rx, dt_samp, scenario.pd_bandwidth_hz, pd_zi_i)
-            q_rx, pd_zi_q = one_pole_lowpass(q_rx, dt_samp, scenario.pd_bandwidth_hz, pd_zi_q)
-
-        if n0:
-            i_rx = add_awgn(i_rx, n0, rng)
-            q_rx = add_awgn(q_rx, n0, rng)
-
-        i_f, avg_zi_i = one_pole_lowpass(i_rx, dt_samp, DEFAULT_AVERAGING_CUTOFF_HZ, avg_zi_i)
-        q_f, avg_zi_q = one_pole_lowpass(q_rx, dt_samp, DEFAULT_AVERAGING_CUTOFF_HZ, avg_zi_q)
-        # Block mean rather than an end-point sample: the physical loop
-        # filter integrates continuously, so sampling the instantaneous
-        # average would alias broadband pattern ripple into the loop.
-        block = (float(i_f.mean()), float(q_f.mean()), dphi_end)
+            u, v = rotate_symbol(*np.repeat(sym, samples_per_symbol, axis=2).transpose(1, 0, 2),
+                                 a0, theta)
+            u_sums, v_sums = u @ wx.T, v @ wx.T
+        n_sums = np.zeros((b, 2, 2)) if noise is None else noise @ (sigma * ww.T)
+        ends = [None] * b if theta is None else theta[:, -1].tolist()
+        sums = zip(u_sums.tolist(), v_sums.tolist(), n_sums.tolist(), ends)
+        for (um, uf, up), (vm, vf, vp), ((nim, nif), (nqm, nqf)), end in sums:
+            phi_in, psi = yield block
+            alpha = phi_in - psi
+            ca, sa = math.cos(alpha), math.sin(alpha)
+            # Block mean rather than an end-point sample: the physical loop
+            # filter integrates continuously, so sampling the instantaneous
+            # average would alias broadband pattern ripple into the loop.
+            i_avg = ca * um + sa * vm + nim + m_pd * z_pd_i + m_avg * z_avg_i
+            q_avg = ca * vm - sa * um + nqm + m_pd * z_pd_q + m_avg * z_avg_q
+            z_avg_i = ca * uf + sa * vf + nif + f_pd * z_pd_i + f_avg * z_avg_i
+            z_avg_q = ca * vf - sa * uf + nqf + f_pd * z_pd_q + f_avg * z_avg_q
+            z_pd_i = ca * up + sa * vp + p_pd * z_pd_i
+            z_pd_q = ca * vp - sa * up + p_pd * z_pd_q
+            block = (i_avg, q_avg, alpha if end is None else (phi_in + end) - psi)
+    yield block
 
 
 def simulate_lock(
@@ -300,7 +336,7 @@ def simulate_lock(
     else:
         source = _symbol_blocks(
             scenario, constellation, seed, decimation, samples_per_symbol,
-            scenario.awgn_n0(constellation),
+            scenario.awgn_n0(constellation), n_blocks,
         )
     next(source)
 

@@ -134,7 +134,7 @@ def test_criterion_2_bode_metrics_cross_check(tmp_path):
     )
 
 
-@pytest.mark.parametrize("order", [4, 16])
+@pytest.mark.parametrize("order", [4, 16, 64])
 def test_criterion_3_lock_transient(order):
     c = build_constellation(order, 1.0, 0.1)
     scenario = ChannelScenario(baud_rate_hz=100e9, phi_offset_rad=math.pi / 4)

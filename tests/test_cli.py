@@ -203,7 +203,8 @@ class TestCliCommands:
         outdir = tmp_path / "out"
         rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
         assert rc == 2
-        assert "no plottable data points" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no plottable data points" in err and "run.svg" in err
         assert list(outdir.iterdir()) == []
 
     def test_trace_mismatch_finer_than_sample_step_exit_2(self, tmp_path, capsys):

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from oqamcpr import cpr
 from oqamcpr.analysis import DEFAULT_LOOP, open_loop_response
 from oqamcpr.channel import (
+    BeatNoise,
     ChannelScenario,
     LaserModel,
     PathMismatch,
+    add_awgn,
     one_pole_lowpass,
     rotate_symbol,
+    stream_rng,
 )
 from oqamcpr.constellation import build_constellation
 from oqamcpr.cpr import (
@@ -177,6 +181,91 @@ class TestPhaseShifter:
             k += 1
         t63 = k * dt
         assert t63 == pytest.approx(1 / (2 * math.pi * 2e3), rel=0.05)
+
+
+def per_sample_blocks(scenario, c, seed, decimation, samples_per_symbol, drives):
+    """The symbol path sample by sample, on the lock loop's stream and draw order.
+
+    For each (input phase, psi) in drives: rotate by input phase + beat
+    phase - psi, PD low-pass, AWGN, 1 GHz low-pass, block mean; filter
+    state carries from block to block.  Yields (i_avg, q_avg, dphi_end).
+    """
+    dt = 1.0 / (scenario.baud_rate_hz * samples_per_symbol)
+    n0 = scenario.awgn_n0(c)
+    rng = stream_rng(seed, 0x10C)
+    beat = BeatNoise(scenario.laser, scenario.mismatch, dt, rng)
+    base = np.repeat(c.levels, decimation // c.side)
+    zi = {}
+    for phi_in, psi in drives:
+        i_sym = np.repeat(rng.permutation(base), samples_per_symbol)
+        q_sym = np.repeat(rng.permutation(base), samples_per_symbol)
+        theta = beat.draw(decimation * samples_per_symbol)
+        dphi = phi_in - psi if theta is None else phi_in + theta - psi
+        means = []
+        for axis, x in zip("iq", rotate_symbol(i_sym, q_sym, c.a0, dphi)):
+            if scenario.pd_bandwidth_hz is not None:
+                x, zi["pd", axis] = one_pole_lowpass(
+                    x, dt, scenario.pd_bandwidth_hz, zi.get(("pd", axis))
+                )
+            if n0:
+                x = add_awgn(x, n0, rng)
+            x, zi["avg", axis] = one_pole_lowpass(x, dt, 1e9, zi.get(("avg", axis)))
+            means.append(x.mean())
+        yield (*means, float(np.atleast_1d(dphi)[-1]))
+
+
+@pytest.mark.parametrize(
+    "receiver",
+    [{}, {"pd_bandwidth_hz": 5e9}, {"snr_db": 19.0}, {"snr_db": 19.0, "pd_bandwidth_hz": 5e9}],
+    ids=["bare", "pd", "awgn", "awgn_pd"],
+)
+@pytest.mark.parametrize("delta_l_m", [0.0, 0.1, 100.0], ids=["clean", "10cm", "100m"])
+@pytest.mark.parametrize(
+    # 64-QAM: 20 symbols rounded up to a multiple of its 8 levels, as simulate_lock does
+    "order, decimation", [(4, 10), (16, 20), (64, 24)], ids=["4qam", "16qam", "64qam"]
+)
+def test_block_statistics_match_per_sample_reference(
+    monkeypatch, order, decimation, delta_l_m, receiver
+):
+    # Blocks of 20-48 samples keep 4-50% of each filter's state from one
+    # block to the next (a 5 GHz PD, not the presets' 50 GHz, whose state
+    # would decay below the tolerance within a block), and at 100 m the
+    # beat delay of ~98k samples is far longer than a block.  Three blocks
+    # per chunk, so 7 blocks end on a short chunk.
+    monkeypatch.setattr(cpr, "CHUNK_SAMPLES", 3 * 2 * decimation)
+    sc = ChannelScenario(
+        baud_rate_hz=100e9, laser=LaserModel(1e6), mismatch=PathMismatch(delta_l_m), **receiver
+    )
+    c = build_constellation(order, 1.0, 0.1)
+    drives = np.random.default_rng(order).uniform(-math.pi, math.pi, (7, 2)).tolist()
+    source = cpr._symbol_blocks(sc, c, 3, decimation, 2, sc.awgn_n0(c), len(drives))
+    next(source)
+    got = np.array([source.send(tuple(drive)) for drive in drives])
+    want = np.array(list(per_sample_blocks(sc, c, 3, decimation, 2, drives)))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_block_filtering_cost_does_not_grow_with_blocks(monkeypatch):
+    # The filters are folded into per-run weights: running ten times as
+    # many blocks must not call the low-pass once more.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return one_pole_lowpass(*args, **kwargs)
+
+    monkeypatch.setattr(cpr, "one_pole_lowpass", counted)
+    sc = ChannelScenario(
+        baud_rate_hz=100e9, laser=LaserModel(1e6), mismatch=PathMismatch(0.1),
+        snr_db=19.0, pd_bandwidth_hz=50e9,
+    )
+    c = build_constellation(4, 1.0, 0.1)
+    counts = {}
+    for duration_s in (1e-6, 1e-5):
+        calls.clear()
+        rep = simulate_lock(sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1, duration_s, seed=2)
+        counts[len(rep.time_s)] = len(calls)
+    assert counts == {100: counts[100], 1000: counts[100]}
 
 
 class TestSimulateLock:
