@@ -227,11 +227,11 @@ def per_sample_blocks(scenario, c, seed, decimation, samples_per_symbol, drives)
 def test_block_statistics_match_per_sample_reference(
     monkeypatch, order, decimation, delta_l_m, receiver
 ):
-    # Blocks of 20-48 samples keep 4-50% of each filter's state from one
-    # block to the next (a 5 GHz PD, not the presets' 50 GHz, whose state
-    # would decay below the tolerance within a block), and at 100 m the
-    # beat delay of ~98k samples is far longer than a block.  Three blocks
-    # per chunk, so 7 blocks end on a short chunk.
+    # Blocks of 20-48 samples pass 5e-4 to 0.5 of each filter's state on to
+    # the next block, far above the tolerance (a 5 GHz PD: the presets'
+    # 50 GHz one forgets its state within a block).  At 100 m the beat
+    # delay of ~98k samples is far longer than a block.  Three blocks per
+    # chunk, so 7 blocks end on a short chunk.
     monkeypatch.setattr(cpr, "CHUNK_SAMPLES", 3 * 2 * decimation)
     sc = ChannelScenario(
         baud_rate_hz=100e9, laser=LaserModel(1e6), mismatch=PathMismatch(delta_l_m), **receiver
