@@ -104,9 +104,6 @@ def _run_psd(sc: ScenarioConfig) -> Table:
     spectrum = phasenoise.shaped_spectrum(
         scen.laser.linewidth_hz, scen.mismatch.tau_s, sc.loop_params()
     )
-    if sc.data["run"].get("svg") and not np.any(spectrum.psd_rad2_per_hz > 0):
-        raise ConfigError("run.svg: no plottable data points: the PSD is zero unless "
-                          "laser.linewidth_hz and mismatch.delta_l_m are both > 0")
     metrics = {"variance_rad2": spectrum.variance_rad2}
     columns = {"f_hz": spectrum.freqs_hz, "psd_rad2_per_hz": spectrum.psd_rad2_per_hz}
     plot = {
@@ -237,7 +234,12 @@ def run_scenario(source, output_dir: str | None = None) -> RunResult:
     svg = None
     if run.get("svg") and plot is not None:
         series = [(variant_label, t.columns) for variant_label, t in tables.items()]
-        svg = emit_svg(series, {**plot, "title": label}, outdir / f"{label}.svg")
+        try:
+            svg = emit_svg(series, {**plot, "title": label}, outdir / f"{label}.svg")
+        except ValueError as exc:  # no variant has a point to plot; the spec is ours
+            hint = (": the PSD is zero unless laser.linewidth_hz and mismatch.delta_l_m "
+                    "are both > 0") if mode == "psd" else ""
+            raise ConfigError(f"run.svg: {exc}{hint}") from exc
 
     result = RunResult()
     for variant_label, table in tables.items():

@@ -201,7 +201,7 @@ def _block_weights(n: int, dt_s: float, pd_cutoff_hz: float | None):
     return wx, ww, np.column_stack([s_pd, [*s_avg, 0.0]])
 
 
-def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol, n0, n_blocks):
+def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol, n0):
     """Block source of the symbol-level data path.
 
     Receives (input phase, psi) and yields (i_avg, q_avg, dphi) for one
@@ -234,10 +234,9 @@ def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol
     (m_pd, m_avg), (f_pd, f_avg), (p_pd, _) = s.tolist()
     z_pd_i = z_pd_q = z_avg_i = z_avg_q = 0.0  # zero initial filter state
 
-    chunk = max(1, CHUNK_SAMPLES // n_samp)
+    b = max(1, CHUNK_SAMPLES // n_samp)  # blocks per chunk
     block = None
-    for first in range(0, n_blocks, chunk):
-        b = min(chunk, n_blocks - first)
+    while True:  # the caller stops sending after its last block
         sym = np.empty((b, 2, decimation))
         theta = np.empty((b, n_samp)) if beat.delay_samples else None
         noise = np.empty((b, 2, n_samp)) if sigma else None
@@ -270,7 +269,6 @@ def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol
             z_pd_i = ca * up + sa * vp + p_pd * z_pd_i
             z_pd_q = ca * vp - sa * up + p_pd * z_pd_q
             block = (i_avg, q_avg, alpha if end is None else (phi_in + end) - psi)
-    yield block
 
 
 def simulate_lock(
@@ -336,7 +334,7 @@ def simulate_lock(
     else:
         source = _symbol_blocks(
             scenario, constellation, seed, decimation, samples_per_symbol,
-            scenario.awgn_n0(constellation), n_blocks,
+            scenario.awgn_n0(constellation),
         )
     next(source)
 

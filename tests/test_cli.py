@@ -205,6 +205,7 @@ class TestCliCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert "no plottable data points" in err and "run.svg" in err
+        assert "laser.linewidth_hz" in err
         assert list(outdir.iterdir()) == []
 
     def test_trace_mismatch_finer_than_sample_step_exit_2(self, tmp_path, capsys):
@@ -248,6 +249,21 @@ class TestSweeps:
         result = run_scenario(cfg, output_dir=str(tmp_path))
         assert list(result.metrics) == ["trace_12"]
         assert (tmp_path / "trace_12.csv").exists()
+
+    def test_psd_sweep_svg_skips_the_zero_variant(self, tmp_path, capsys):
+        # The ΔL = 0 variant's PSD is all zeros; the SVG draws the other one.
+        cfg = {
+            "modulation": {"order": 4},
+            "laser": {"linewidth_hz": 1e5},
+            "run": {"mode": "psd", "svg": True,
+                    "sweep": {"key": "mismatch.delta_l_m", "values": [0.0, 0.1]}},
+        }
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        assert rc == 0, capsys.readouterr().err
+        names = sorted(f.name for f in outdir.iterdir())
+        assert len([n for n in names if n.endswith(".csv")]) == 2
+        assert "psd.svg" in names and "psd_manifest.json" in names
 
     def test_a_oma_sweep_keeps_a0_fixed(self):
         cfg = validate_config({

@@ -231,14 +231,14 @@ def test_block_statistics_match_per_sample_reference(
     # the next block, far above the tolerance (a 5 GHz PD: the presets'
     # 50 GHz one forgets its state within a block).  At 100 m the beat
     # delay of ~98k samples is far longer than a block.  Three blocks per
-    # chunk, so 7 blocks end on a short chunk.
+    # chunk, so the filter states carry across chunk boundaries.
     monkeypatch.setattr(cpr, "CHUNK_SAMPLES", 3 * 2 * decimation)
     sc = ChannelScenario(
         baud_rate_hz=100e9, laser=LaserModel(1e6), mismatch=PathMismatch(delta_l_m), **receiver
     )
     c = build_constellation(order, 1.0, 0.1)
     drives = np.random.default_rng(order).uniform(-math.pi, math.pi, (7, 2)).tolist()
-    source = cpr._symbol_blocks(sc, c, 3, decimation, 2, sc.awgn_n0(c), len(drives))
+    source = cpr._symbol_blocks(sc, c, 3, decimation, 2, sc.awgn_n0(c))
     next(source)
     got = np.array([source.send(tuple(drive)) for drive in drives])
     want = np.array(list(per_sample_blocks(sc, c, 3, decimation, 2, drives)))
