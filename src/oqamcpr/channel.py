@@ -153,11 +153,6 @@ class BeatNoise:
         self._ring = np.zeros(self.delay_samples)
         self._pos = 0  # ring slot of the next sample
 
-    def _read(self, start: int, n: int) -> np.ndarray:
-        ring = self._ring
-        head = min(n, ring.size - start)
-        return np.concatenate((ring[start:start + head], ring[:n - head]))
-
     def draw(self, n: int) -> np.ndarray | None:
         """theta for the next n samples, or None when there is no beat noise."""
         if n < 1:
@@ -165,12 +160,14 @@ class BeatNoise:
         if not self.delay_samples:
             return None
         d = self.delay_samples
-        phase = self._phi_last + np.cumsum(self._rng.normal(0.0, self._sigma, n))
+        phase = self._rng.normal(0.0, self._sigma, n)
+        np.cumsum(phase, out=phase)
+        phase += self._phi_last
         self._phi_last = phase[-1]
         if self._ring.size < d + n:
-            tail = self._read((self._pos - d) % self._ring.size, d)
-            self._ring = np.zeros(d + n)
-            self._ring[:d] = tail
+            # The last d samples, oldest first, head a ring of d + n.
+            tail = np.roll(self._ring, -self._pos)[-d:]
+            self._ring = np.concatenate((tail, np.zeros(n)))
             self._pos = d
         ring, start = self._ring, self._pos
         head = min(n, ring.size - start)
@@ -179,7 +176,11 @@ class BeatNoise:
         self._pos = (start + n) % ring.size
         # With the ring d + n long, writing this block overwrote only
         # samples older than k - d, so the delayed copy is intact.
-        return phase - self._read((start - d) % ring.size, n)
+        start = (start - d) % ring.size
+        head = min(n, ring.size - start)
+        phase[:head] -= ring[start:start + head]
+        phase[head:] -= ring[:n - head]
+        return phase
 
 
 def rotate_symbol(i, q, a0: float, delta_phi):

@@ -362,8 +362,9 @@ def simulate_lock(
             if abs(i_avg + q_avg) > threshold:
                 sel = math.copysign(1.0, i_avg + q_avg)
             e_raw = -sel * (i_avg - q_avg)
-        else:
-            e_raw = error_method2(i_avg, q_avg)
+        else:  # error_method2 on floats, with _sgn's sign(0) = +1
+            e_raw = ((1.0 if i_avg >= 0 else -1.0) * q_avg
+                     - (1.0 if q_avg >= 0 else -1.0) * i_avg)
         e_v = error_scale * e_raw
         # Negative-slope detector, inverting driver path: net feedback
         # pulls psi toward the input phase.

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, roots_legendre
 
 from oqamcpr import ber as ber_module
 from oqamcpr.ber import (
@@ -197,6 +197,27 @@ class TestSemiAnalytic:
             semi_analytic_ser(c, NoiseEnvironment(0.01, 1.5))
 
 
+class TestQuadNodes:
+    def test_nodes_built_once_per_order(self, monkeypatch):
+        built = []
+
+        def counting(order):
+            built.append(order)
+            return roots_legendre(order)
+
+        ber_module._quad_nodes.cache_clear()
+        monkeypatch.setattr(ber_module, "roots_legendre", counting)
+        c = build_constellation(16, 1.0, 0.1)
+        snr_sweep(c, 0.05, np.arange(14.0, 20.0, 0.5))
+        required_snr_db(c, 0.05)
+        order = ber_module.QUAD_ORDER
+        assert sorted(built) == [order, 2 * order + 1]
+        x, w = ber_module._quad_nodes(order)
+        for arr in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
 class TestBerFromSer:
     def test_values(self):
         assert ber_from_ser(0.01, 4) == pytest.approx(0.005)
@@ -272,6 +293,31 @@ class TestSweep:
         c = build_constellation(4, 1.0, 0.1)
         with pytest.raises(ValueError, match="increasing"):
             snr_sweep(c, 0.0, [10.0, 9.0, 11.0])
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_batched_sweep_matches_one_point_path(self, order, sigma):
+        # 45 points: a 64-QAM sweep runs in two slices of the SNR axis.
+        c = build_constellation(order, 1.0, 0.1)
+        grid = np.arange(8.0, 30.5, 0.5)
+        one_point = [
+            semi_analytic_ser(c, NoiseEnvironment(n0_from_snr_db(c, snr), sigma))
+            for snr in grid
+        ]
+        assert np.array_equal(snr_sweep(c, sigma, grid).ser, one_point)
+
+    def test_quadrature_nonconvergence_names_first_failing_snr(self, monkeypatch):
+        monkeypatch.setattr(ber_module, "QUAD_ORDER", 2)
+        c = build_constellation(16, 1.0, 0.1)
+        with pytest.raises(
+            ConvergenceError, match=r"converge: 0\.0001\d* vs 0\.0002\d* at Es/N0 20 dB$"
+        ):
+            snr_sweep(c, 0.1, [20.0, 22.0])
+
+    def test_large_sigma_sweep_warns(self):
+        c = build_constellation(4, 1.0, 0.1)
+        with pytest.warns(UserWarning, match="sigma_pn"):
+            snr_sweep(c, 1.5, [10.0, 20.0])
 
     def test_penalty_of_identical_sweeps_is_zero(self):
         c = build_constellation(16, 1.0, 0.1)
