@@ -69,14 +69,18 @@ def _region_bounds(c: OffsetQamConstellation):
     return t_lo, t_hi
 
 
-def _tail_prob(distance, n0):
-    """P(gaussian with variance n0/2 exceeds distance); n0 broadcasts."""
-    distance = np.asarray(distance)
-    noiseless = np.asarray(n0) == 0
+def _tail_prob(n0):
+    """distance -> P(gaussian with variance n0/2 exceeds distance); n0 broadcasts."""
+    root = np.sqrt(n0)
+    noiseless = root == 0
     if not noiseless.any():
-        return 0.5 * erfc(distance / np.sqrt(n0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(noiseless, distance < 0, 0.5 * erfc(distance / np.sqrt(n0)))
+        return lambda distance: 0.5 * erfc(distance / root)
+
+    def tail(distance):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(noiseless, distance < 0, 0.5 * erfc(distance / root))
+
+    return tail
 
 
 def _symbol_errors(c: OffsetQamConstellation, theta, n0):
@@ -90,12 +94,9 @@ def _symbol_errors(c: OffsetQamConstellation, theta, n0):
     ki = c.level_indices[:, 0]
     kq = c.level_indices[:, 1]
     shape = [-1] + [1] * (np.asarray(theta).ndim)
-    p_i = _tail_prob(x - t_lo[ki].reshape(shape), n0) + _tail_prob(
-        t_hi[ki].reshape(shape) - x, n0
-    )
-    p_q = _tail_prob(y - t_lo[kq].reshape(shape), n0) + _tail_prob(
-        t_hi[kq].reshape(shape) - y, n0
-    )
+    tail = _tail_prob(n0)
+    p_i = tail(x - t_lo[ki].reshape(shape)) + tail(t_hi[ki].reshape(shape) - x)
+    p_q = tail(y - t_lo[kq].reshape(shape)) + tail(t_hi[kq].reshape(shape) - y)
     return p_i, p_q, p_i + p_q - p_i * p_q
 
 
@@ -346,7 +347,8 @@ def snr_sweep(c: OffsetQamConstellation, sigma_pn_rad: float, snr_grid_db) -> Sw
         raise ValueError("snr_grid_db must be strictly increasing with >= 2 points")
     envs = [NoiseEnvironment(n0_from_snr_db(c, snr), sigma_pn_rad) for snr in snr_db]
     if sigma_pn_rad == 0:
-        # No phase integral: a point is one erfc per symbol and axis.
+        # Without a phase integral a point is one erfc pass per bound, and
+        # batching the grid would save little.
         ser = np.array([semi_analytic_ser(c, env) for env in envs])
     else:
         _warn_if_wide(sigma_pn_rad, stacklevel=2)

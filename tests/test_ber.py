@@ -306,6 +306,19 @@ class TestSweep:
         ]
         assert np.array_equal(snr_sweep(c, sigma, grid).ser, one_point)
 
+    @pytest.mark.filterwarnings("error")
+    def test_batched_sweep_handles_noiseless_point(self):
+        # Es/N0 = inf gives n0 = 0 beside noisy points in one slice; no
+        # divide-by-zero warning escapes.
+        c = build_constellation(16, 1.0, 0.1)
+        grid = [10.0, 20.0, np.inf]
+        one_point = [
+            semi_analytic_ser(c, NoiseEnvironment(n0_from_snr_db(c, snr), 0.01))
+            for snr in grid
+        ]
+        assert one_point[-1] == 0.0
+        assert np.array_equal(snr_sweep(c, 0.01, grid).ser, one_point)
+
     def test_quadrature_nonconvergence_names_first_failing_snr(self, monkeypatch):
         monkeypatch.setattr(ber_module, "QUAD_ORDER", 2)
         c = build_constellation(16, 1.0, 0.1)
