@@ -347,8 +347,9 @@ def snr_sweep(c: OffsetQamConstellation, sigma_pn_rad: float, snr_grid_db) -> Sw
         raise ValueError("snr_grid_db must be strictly increasing with >= 2 points")
     envs = [NoiseEnvironment(n0_from_snr_db(c, snr), sigma_pn_rad) for snr in snr_db]
     if sigma_pn_rad == 0:
-        # Without a phase integral a point is one erfc pass per bound, and
-        # batching the grid would save little.
+        # Without a phase integral a point is one erfc pass per bound, so
+        # batching would save little; perfbench's tracer self-test counts
+        # one semi_analytic_ser call per point of such a sweep.
         ser = np.array([semi_analytic_ser(c, env) for env in envs])
     else:
         _warn_if_wide(sigma_pn_rad, stacklevel=2)
