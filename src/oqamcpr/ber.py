@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import erfc, roots_legendre
 
 from .channel import stream_rng
-from .constellation import OffsetQamConstellation, n0_from_snr_db
+from .constellation import OffsetQamConstellation, decide_levels, n0_from_snr_db
 from .errors import ConvergenceError
 
 KP4_BER_THRESHOLD = 2.4e-4
@@ -151,8 +151,7 @@ def _symbol_bit_errors(c: OffsetQamConstellation, theta, n0: float):
     total = np.zeros((c.order,) + theta.shape)
     for means, k_true in ((x, c.level_indices[:, 0]), (y, c.level_indices[:, 1])):
         if n0 == 0:
-            det = np.searchsorted(c.thresholds, means, side="left")
-            total += ham[k_true[:, None], det]
+            total += ham[k_true[:, None], decide_levels(c, means)]
         else:
             p_level = _level_probabilities(c, means, n0)
             total += np.einsum("skl,sl->sk", p_level, ham[k_true])
@@ -294,11 +293,9 @@ def monte_carlo_ber(c: OffsetQamConstellation, env: NoiseEnvironment, num_symbol
         if noise_sigma > 0:
             x = x + rng.normal(0.0, noise_sigma, n)
             y = y + rng.normal(0.0, noise_sigma, n)
-        ki_det = np.searchsorted(c.thresholds, x, side="left")
-        kq_det = np.searchsorted(c.thresholds, y, side="left")
         ki_true = c.level_indices[idx, 0]
         kq_true = c.level_indices[idx, 1]
-        flips = ham[ki_true, ki_det] + ham[kq_true, kq_det]
+        flips = ham[ki_true, decide_levels(c, x)] + ham[kq_true, decide_levels(c, y)]
         bit_errors += int(flips.sum())
         sym_errors += int(np.count_nonzero(flips))
 

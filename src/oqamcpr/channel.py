@@ -252,6 +252,8 @@ def received_trace(
     """
     if num_symbols < 1:
         raise ValueError("num_symbols must be >= 1")
+    if samples_per_symbol < 1:
+        raise ValueError("samples_per_symbol must be >= 1")
     dt = 1.0 / (scenario.baud_rate_hz * samples_per_symbol)
 
     idx = symbol_stream(constellation, num_symbols, seed)

@@ -164,24 +164,6 @@ def _finish_report(t, psi, dphi, err, method) -> LockReport:
     )
 
 
-def _averaged_blocks(a0: float, dt_loop: float):
-    """Block source of the averaged data path (noiseless, one update per step).
-
-    Receives (input phase, psi) and yields (i_avg, q_avg, dphi): the
-    averaging low-pass driven by a0*(cos+sin), a0*(cos-sin).
-    """
-    a_avg = math.exp(-2.0 * math.pi * DEFAULT_AVERAGING_CUTOFF_HZ * dt_loop)
-    i_avg = q_avg = 0.0
-    block = None
-    while True:
-        phi_in, psi = yield block
-        dphi = phi_in - psi
-        ci, si = math.cos(dphi), math.sin(dphi)
-        i_avg = a_avg * i_avg + (1.0 - a_avg) * a0 * (ci + si)
-        q_avg = a_avg * q_avg + (1.0 - a_avg) * a0 * (ci - si)
-        block = (i_avg, q_avg, dphi)
-
-
 def _block_weights(n: int, dt_s: float, pd_cutoff_hz: float | None):
     """Weights (wx, ww, s) of a block's PD low-pass, AWGN and averaging low-pass.
 
@@ -281,41 +263,36 @@ def simulate_lock(
     *,
     decimation: int = 1000,
     samples_per_symbol: int = 2,
-    data_path: str = "symbols",
     phase_drive=None,
 ) -> LockReport:
     """Closed-loop lock acquisition on a decimated loop grid.
 
-    The data path rotates random symbols by the instantaneous phase error
-    and extracts the block-averaged I/Q voltages; the detector output is
-    scaled by k_pd / (2 a0) so its small-signal slope matches the
-    configured detector gain, then drives the loop filter, driver, and
-    phase shifter once per block of ``decimation`` symbols (rounded up to
-    a multiple of the level count, so each axis carries DC-balanced data).
-    The averaging low-pass has a fixed 1 GHz cutoff and the method-1
-    comparator a hysteresis of 1% of 2 a0.
+    The data path rotates random symbols, ``samples_per_symbol`` samples
+    each, by the instantaneous phase error and extracts the block-averaged
+    I/Q voltages; the detector output is scaled by k_pd / (2 a0) so its
+    small-signal slope matches the configured detector gain, then drives
+    the loop filter, driver, and phase shifter once per block of
+    ``decimation`` symbols (rounded up to a multiple of the level count,
+    so each axis carries DC-balanced data).  The averaging low-pass has a
+    fixed 1 GHz cutoff and the method-1 comparator a hysteresis of 1% of
+    2 a0.  On a clean link with one balanced level set per block and a
+    symbol period well above 1 ns, the block means are the ideal
+    a0*(cos+sin), a0*(cos-sin) of the phase error.
 
-    ``data_path="averaged"`` replaces the symbol-level block with the
-    deterministic averaged voltages a0*(cos+sin), a0*(cos-sin) (no AWGN,
-    no photodetector filter), which keeps the loop dynamics identical and
-    is useful for long runs and small-signal characterization; a scenario
-    with beat phase noise is rejected there.  ``phase_drive`` is an optional
-    callable t -> rad added to the input phase for loop-response probing.
+    ``phase_drive`` is an optional callable t -> rad added to the input
+    phase for loop-response probing.
 
     Non-convergence shows up as ``locked=False`` in the report, never as
     an exception.
     """
     if constellation.a0 <= 0:
         raise ValueError("offset-QAM phase detection requires a0 > 0")
-    if data_path not in ("symbols", "averaged"):
-        raise ValueError(f"unknown data_path {data_path!r}")
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
-    if data_path == "averaged" and scenario.laser.linewidth_hz > 0 and scenario.mismatch.tau_s > 0:
-        raise ValueError("the averaged data path has no phase noise; use data_path='symbols'")
-    if data_path == "symbols":
-        side = constellation.side
-        decimation = ((decimation + side - 1) // side) * side
+    if samples_per_symbol < 1:
+        raise ValueError("samples_per_symbol must be >= 1")
+    side = constellation.side
+    decimation = ((decimation + side - 1) // side) * side
 
     dt_loop = decimation / scenario.baud_rate_hz
     metrics = analysis.bode_metrics(params)
@@ -329,13 +306,10 @@ def simulate_lock(
         raise ValueError(f"duration_s={duration_s:g} must span at least 20 loop updates")
 
     a0 = constellation.a0
-    if data_path == "averaged":
-        source = _averaged_blocks(a0, dt_loop)
-    else:
-        source = _symbol_blocks(
-            scenario, constellation, seed, decimation, samples_per_symbol,
-            scenario.awgn_n0(constellation),
-        )
+    source = _symbol_blocks(
+        scenario, constellation, seed, decimation, samples_per_symbol,
+        scenario.awgn_n0(constellation),
+    )
     next(source)
 
     error_scale = params.k_pd_v_per_rad / (2.0 * a0)

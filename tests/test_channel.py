@@ -252,3 +252,10 @@ class TestReceivedTrace:
     def test_snr_and_n0_mutually_exclusive(self):
         with pytest.raises(ValueError, match="snr_db or n0"):
             ChannelScenario(baud_rate_hz=1e9, snr_db=10.0, n0=0.1)
+
+    @pytest.mark.parametrize("sps", [0, -2])
+    def test_rejects_samples_per_symbol_below_one(self, sps):
+        c = build_constellation(4, 1.0, 0.1)
+        sc = ChannelScenario(baud_rate_hz=100e9)
+        with pytest.raises(ValueError, match="samples_per_symbol"):
+            received_trace(c, sc, num_symbols=10, seed=3, samples_per_symbol=sps)

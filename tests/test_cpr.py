@@ -282,26 +282,43 @@ class TestSimulateLock:
         assert rep.lock_point_rad == 0.0
         assert rep.residual_rad == pytest.approx(analytic, rel=0.05)
 
-    @pytest.mark.parametrize(
-        "data_path, duration_s",
-        [("averaged", 4e-4), ("symbols", 1e-4)],
-        ids=["averaged", "symbols"],
-    )
-    def test_method2_locks(self, data_path, duration_s):
+    def test_method2_locks(self):
         c = build_constellation(4, 1.0, 0.1)
         rep = simulate_lock(
-            self.scenario(0.3), c, DEFAULT_LOOP, DetectorMethod.METHOD2,
-            duration_s, seed=6, data_path=data_path,
+            self.scenario(0.3), c, DEFAULT_LOOP, DetectorMethod.METHOD2, 1e-4, seed=6
         )
         assert rep.locked
         assert rep.lock_point_rad == 0.0
 
+    @pytest.mark.parametrize(
+        "method, detector",
+        [(DetectorMethod.METHOD1, error_method1), (DetectorMethod.METHOD2, error_method2)],
+        ids=["method1", "method2"],
+    )
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_clean_link_follows_ideal_detector_curve(self, order, method, detector):
+        # decimation = side puts one DC-balanced set of levels on each axis
+        # of a block, and at side symbols per 1e-7 s a sample lasts at least
+        # 6.25 ns, in which the 1 GHz averaging low-pass forgets all but 1e-17
+        # of its state: every block mean is the ideal a0*(cos +/- sin) of dphi.
+        c = build_constellation(order, 1.0, 0.1)
+        sc = ChannelScenario(baud_rate_hz=c.side / 1e-7, phi_offset_rad=0.6)
+        rep = simulate_lock(sc, c, DEFAULT_LOOP, method, 2e-4, seed=4, decimation=c.side)
+        k_pd = DEFAULT_LOOP.k_pd_v_per_rad
+        want = k_pd / (2 * c.a0) * detector(*ideal_averages(c.a0, rep.delta_phi_rad))
+        assert np.max(np.abs(rep.error_v - want)) <= 1e-12 * k_pd
+
     @pytest.mark.parametrize("deg", [-85, -45, -10, 10, 45, 85])
     def test_lock_basin_within_half_pi(self, deg):
+        # The 1e-8 s loop step as two 200 MBaud symbols of 4-QAM: each block
+        # then carries one DC-balanced set of levels per axis, and the 1 GHz
+        # averaging low-pass forgets all but 1.5e-7 of its state within a
+        # 2.5 ns sample, so the block means are the ideal a0*(cos +/- sin)
+        # of the phase error on this clean link.
         c = build_constellation(4, 1.0, 0.1)
+        sc = ChannelScenario(baud_rate_hz=2e8, phi_offset_rad=math.radians(deg))
         rep = simulate_lock(
-            self.scenario(math.radians(deg)), c, DEFAULT_LOOP,
-            DetectorMethod.METHOD1, 6e-4, seed=1, data_path="averaged",
+            sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1, 6e-4, seed=1, decimation=2
         )
         assert rep.locked
         assert rep.lock_point_rad == 0.0
@@ -341,6 +358,11 @@ class TestSimulateLock:
         assert rep.delta_phi_rad.std() > 0.2
 
     def test_small_signal_response_matches_linear_model(self):
+        # Each loop step dtl is two 4-QAM symbols, one DC-balanced set of
+        # levels per axis, and a sample lasts at least 2.5 ns, in which the
+        # 1 GHz averaging low-pass forgets all but 1.5e-7 of its state: the
+        # block means are the ideal a0*(cos +/- sin) of the phase error, so
+        # the loop sees the linear model's detector without data ripple.
         c = build_constellation(4, 1.0, 0.1)
         cases = [
             (100.0, 1e-7, 2e-3, 2),
@@ -351,10 +373,10 @@ class TestSimulateLock:
         ]
         for f, dtl, settle_s, nper in cases:
             amp = 1e-3
-            sc = ChannelScenario(baud_rate_hz=1.0 / dtl, phi_offset_rad=0.0)
+            sc = ChannelScenario(baud_rate_hz=2.0 / dtl, phi_offset_rad=0.0)
             rep = simulate_lock(
                 sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1,
-                settle_s + nper / f, seed=1, decimation=1, data_path="averaged",
+                settle_s + nper / f, seed=1, decimation=2,
                 phase_drive=lambda t, f=f: amp * math.sin(2 * math.pi * f * t),
             )
             n_win = round(1 / (f * dtl)) * nper
@@ -369,12 +391,13 @@ class TestSimulateLock:
         with pytest.raises(ValueError, match="a0"):
             simulate_lock(self.scenario(), c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1e-4, 1)
 
-    def test_averaged_path_rejects_phase_noise(self):
+    @pytest.mark.parametrize("sps", [0, -2])
+    def test_rejects_samples_per_symbol_below_one(self, sps):
         c = build_constellation(4, 1.0, 0.1)
-        sc = self.scenario(laser=LaserModel(1e6), mismatch=PathMismatch(0.1))
-        with pytest.raises(ValueError, match="averaged"):
+        with pytest.raises(ValueError, match="samples_per_symbol"):
             simulate_lock(
-                sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1e-4, 1, data_path="averaged"
+                self.scenario(), c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1e-4, 1,
+                samples_per_symbol=sps,
             )
 
     def test_rejects_too_coarse_loop_step(self):
