@@ -55,8 +55,6 @@ from .cpr import (
     error_method1,
     error_method2,
     simulate_lock,
-    step_loop_filter,
-    step_phase_shifter,
 )
 from .errors import ConfigError, ConvergenceError
 from .phasenoise import ShapedPhaseNoise, laser_psd, shaped_psd, total_variance

@@ -141,9 +141,9 @@ def _bisect(func, lo: float, hi: float) -> float:
         mid = math.sqrt(lo * hi)
         if hi - lo <= BISECT_REL_TOL * mid:
             return mid
-        if (func(mid) > 0) == (flo > 0):
-            lo = mid
-            flo = func(mid)
+        fmid = func(mid)
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
         else:
             hi = mid
     return math.sqrt(lo * hi)
@@ -175,8 +175,8 @@ def bode_metrics(params: LoopParams, f_max_hz: float = FREQ_GRID_MAX_HZ) -> Bode
     crossing is reported as degenerate with absent metrics.
     """
     grid = log_frequency_grid(f_max_hz=f_max_hz)
-    mag = np.abs(open_loop_response(params, grid))
-    sign = mag - 1.0
+    h = open_loop_response(params, grid)
+    sign = np.abs(h) - 1.0
     crossings = np.nonzero(np.diff(np.signbit(sign)))[0]
     if crossings.size == 0:
         return BodeMetrics(params.dc_gain, None, None, None)
@@ -188,17 +188,16 @@ def bode_metrics(params: LoopParams, f_max_hz: float = FREQ_GRID_MAX_HZ) -> Bode
 
     closed_bw = None
     if pm > 0:
-        t = open_loop_response(params, grid)
-        tmag = np.abs(t / (1.0 + t))
+        def closed_mag(h):
+            return np.abs(h / (1.0 + h))
+
+        tmag = closed_mag(h)
         target = tmag[0] / math.sqrt(2.0)
         below = np.nonzero(tmag < target)[0]
         if below.size:
             j = int(below[0])
             closed_bw = _bisect(
-                lambda f: abs(
-                    open_loop_response(params, f) / (1.0 + open_loop_response(params, f))
-                )
-                - target,
+                lambda f: closed_mag(open_loop_response(params, f)) - target,
                 grid[max(j - 1, 0)],
                 grid[j],
             )

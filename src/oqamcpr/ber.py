@@ -137,7 +137,7 @@ def _level_probabilities(c: OffsetQamConstellation, means: np.ndarray, n0: float
     means has shape (..., ); the result appends a level axis of size
     sqrt(order).  P(level j) = P(mean + noise lands in region j).
     """
-    cdf = 0.5 * erfc((means[..., None] - c.thresholds) / math.sqrt(n0))
+    cdf = _tail_prob(n0)(means[..., None] - c.thresholds)
     return np.concatenate(
         (cdf[..., :1], np.diff(cdf, axis=-1), 1.0 - cdf[..., -1:]), axis=-1
     )
@@ -150,11 +150,8 @@ def _symbol_bit_errors(c: OffsetQamConstellation, theta, n0: float):
     ham = _hamming_table(c)
     total = np.zeros((c.order,) + theta.shape)
     for means, k_true in ((x, c.level_indices[:, 0]), (y, c.level_indices[:, 1])):
-        if n0 == 0:
-            total += ham[k_true[:, None], decide_levels(c, means)]
-        else:
-            p_level = _level_probabilities(c, means, n0)
-            total += np.einsum("skl,sl->sk", p_level, ham[k_true])
+        p_level = _level_probabilities(c, means, n0)
+        total += np.einsum("skl,sl->sk", p_level, ham[k_true])
     return total
 
 

@@ -13,15 +13,16 @@ at the symbol rate (nominally 100 GBaud) while the loop filter and phase
 shifter update once per decimated block, since the loop bandwidth sits
 five decades below the symbol rate.  Both dynamic blocks are discretized
 with the bilinear transform, which preserves DC gains exactly and is
-stable for any step size.  The symbol-rate data path takes its beat phase
-from ``channel.BeatNoise`` and its rotation from ``channel``, so the loop
-runs the same channel model that the channel tests check.  It filters no
-samples inside the loop: with alpha = input phase - psi the rotation is
-cos(alpha) and sin(alpha) times the data rotated by the beat phase alone,
-and the PD and averaging low-passes are linear, so a block's mean and the
-filters' end states are fixed weighted sums of its draws plus terms in the
-incoming states.  Each chunk of blocks is reduced to those sums at once,
-and the loop does only scalar work per block.
+stable for any step size; their coefficients are computed once per run.
+The symbol-rate data path takes its beat phase from ``channel.BeatNoise``
+and its rotation from ``channel``, so the loop runs the same channel model
+that the channel tests check.  It filters no samples inside the loop: with
+alpha = input phase - psi the rotation is cos(alpha) and sin(alpha) times
+the data rotated by the beat phase alone, and the PD and averaging
+low-passes are linear, so a block's mean and the filters' end states are
+fixed weighted sums of its draws plus terms in the incoming states.  Each
+chunk of blocks is reduced to those sums at once, and the loop does only
+scalar work per block.
 """
 
 from __future__ import annotations
@@ -49,76 +50,41 @@ class DetectorMethod(enum.Enum):
 
 
 def _sgn(x):
-    return np.where(np.asarray(x) >= 0, 1.0, -1.0)
+    """Sign with sign(0) = +1, for floats (no numpy) or numpy arrays."""
+    return 2.0 * (x >= 0) - 1.0
 
 
 def error_method1(i_avg, q_avg):
-    """Select-signal detector: -sign(i_avg + q_avg) * (i_avg - q_avg)."""
-    out = -_sgn(np.asarray(i_avg) + np.asarray(q_avg)) * (
-        np.asarray(i_avg) - np.asarray(q_avg)
-    )
-    return out if out.ndim else float(out)
+    """Select-signal detector: -sign(i_avg + q_avg) * (i_avg - q_avg).
+
+    Takes floats or numpy arrays."""
+    return -_sgn(i_avg + q_avg) * (i_avg - q_avg)
 
 
 def error_method2(i_avg, q_avg):
-    """Sign-mixing detector: sign(i_avg) * q_avg - sign(q_avg) * i_avg."""
-    i_avg = np.asarray(i_avg)
-    q_avg = np.asarray(q_avg)
-    out = _sgn(i_avg) * q_avg - _sgn(q_avg) * i_avg
-    return out if out.ndim else float(out)
+    """Sign-mixing detector: sign(i_avg) * q_avg - sign(q_avg) * i_avg.
+
+    Takes floats or numpy arrays."""
+    return _sgn(i_avg) * q_avg - _sgn(q_avg) * i_avg
 
 
-@dataclass
-class FirstOrderState:
-    """One delay element of a bilinear-discretized first-order block."""
+def _loop_coefficients(params: LoopParams, dt_s: float):
+    """Bilinear coefficients of the loop's two first-order blocks at step dt_s.
 
-    z: float = 0.0
-
-
-def _lead_lag_coeffs(params: LoopParams, dt_s: float):
+    Returns the lead-lag loop filter's (b0, b1, a1), with DC gain K_lf and
+    a first-step gain approaching K_lf * f_lf_pole / f_lf_zero for small
+    steps, and the phase shifter's (b0, a1), with DC gain K_ps and the
+    thermal pole f_ps (its b1 equals b0).  Each block runs
+    y = b0 x + z, then z = b1 x - a1 y.
+    """
     az = 2.0 / (dt_s * 2.0 * math.pi * params.f_lf_zero_hz)
     ap = 2.0 / (dt_s * 2.0 * math.pi * params.f_lf_pole_hz)
+    aps = 2.0 / (dt_s * 2.0 * math.pi * params.f_ps_hz)
     k = params.k_lf_v_per_v
-    b0 = k * (1.0 + az) / (1.0 + ap)
-    b1 = k * (1.0 - az) / (1.0 + ap)
-    a1 = (1.0 - ap) / (1.0 + ap)
-    return b0, b1, a1
-
-
-def step_loop_filter(
-    state: FirstOrderState, v_in: float, dt_s: float, params: LoopParams
-) -> float:
-    """One bilinear step of the lead-lag loop filter.
-
-    DC gain K_lf, instantaneous (high-frequency) gain approaching
-    K_lf * f_lf_pole / f_lf_zero for small steps.
-    """
-    if dt_s <= 0:
-        raise ValueError("dt_s must be > 0")
-    b0, b1, a1 = _lead_lag_coeffs(params, dt_s)
-    y = b0 * v_in + state.z
-    state.z = b1 * v_in - a1 * y
-    return y
-
-
-def step_phase_shifter(
-    state: FirstOrderState,
-    v_in: float,
-    dt_s: float,
-    params: LoopParams,
-) -> float:
-    """One bilinear step of the first-order phase shifter (rad out).
-
-    DC gain K_ps with the thermal pole f_ps.
-    """
-    if dt_s <= 0:
-        raise ValueError("dt_s must be > 0")
-    ap = 2.0 / (dt_s * 2.0 * math.pi * params.f_ps_hz)
-    b0 = params.k_ps_rad_per_v / (1.0 + ap)
-    a1 = (1.0 - ap) / (1.0 + ap)
-    y = b0 * v_in + state.z
-    state.z = b0 * v_in - a1 * y
-    return y
+    return (
+        (k * (1.0 + az) / (1.0 + ap), k * (1.0 - az) / (1.0 + ap), (1.0 - ap) / (1.0 + ap)),
+        (params.k_ps_rad_per_v / (1.0 + aps), (1.0 - aps) / (1.0 + aps)),
+    )
 
 
 @dataclass(eq=False)
@@ -317,8 +283,8 @@ def simulate_lock(
     # hysteresis band, so it does not chatter near zero.
     threshold = HYSTERESIS_FRACTION * 2.0 * a0
     sel = 1.0
-    lf_state = FirstOrderState()
-    ps_state = FirstOrderState()
+    (lf_b0, lf_b1, lf_a1), (ps_b0, ps_a1) = _loop_coefficients(params, dt_loop)
+    lf_z = ps_z = 0.0  # the two blocks' delay states
 
     t_rec = np.arange(n_blocks) * dt_loop
     psi_rec = np.empty(n_blocks)
@@ -336,14 +302,16 @@ def simulate_lock(
             if abs(i_avg + q_avg) > threshold:
                 sel = math.copysign(1.0, i_avg + q_avg)
             e_raw = -sel * (i_avg - q_avg)
-        else:  # error_method2 on floats, with _sgn's sign(0) = +1
-            e_raw = ((1.0 if i_avg >= 0 else -1.0) * q_avg
-                     - (1.0 if q_avg >= 0 else -1.0) * i_avg)
+        else:
+            e_raw = error_method2(i_avg, q_avg)
         e_v = error_scale * e_raw
         # Negative-slope detector, inverting driver path: net feedback
         # pulls psi toward the input phase.
-        v_lf = step_loop_filter(lf_state, -e_v, dt_loop, params)
-        psi_new = step_phase_shifter(ps_state, params.k_driver_v_per_v * v_lf, dt_loop, params)
+        v_lf = lf_b0 * -e_v + lf_z
+        lf_z = lf_b1 * -e_v - lf_a1 * v_lf
+        v_ps = params.k_driver_v_per_v * v_lf
+        psi_new = ps_b0 * v_ps + ps_z
+        ps_z = ps_b0 * v_ps - ps_a1 * psi_new
         psi_rec[k] = psi
         dphi_rec[k] = dphi
         err_rec[k] = e_v

@@ -18,12 +18,10 @@ from oqamcpr.channel import (
 from oqamcpr.constellation import build_constellation
 from oqamcpr.cpr import (
     DetectorMethod,
-    FirstOrderState,
+    _loop_coefficients,
     error_method1,
     error_method2,
     simulate_lock,
-    step_loop_filter,
-    step_phase_shifter,
 )
 
 
@@ -61,6 +59,18 @@ class TestDetectors:
         e = error_method2(*ideal_averages(a0, dphi))
         assert e == pytest.approx(-2 * a0 * math.sin(dphi), rel=1e-12)
         assert e == pytest.approx(-2 * a0 * dphi, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "i, q, e1, e2",
+        [(0.0, -0.5, 0.5, -0.5), (0.3, -0.3, -0.6, 0.0), (-0.5, 0.0, -0.5, 0.5)],
+    )
+    def test_float_path_matches_array_path_at_zeros(self, i, q, e1, e2):
+        # The loop feeds the detectors plain floats; sign(0) = +1 on both paths.
+        for method, expected in ((error_method1, e1), (error_method2, e2)):
+            scalar = method(i, q)
+            assert type(scalar) is float
+            assert scalar == expected
+            assert method(np.array([i]), np.array([q])).tolist() == [scalar]
 
     def test_method1_small_angle_matches_method2(self):
         a0, dphi = 0.5, 0.01
@@ -131,32 +141,20 @@ class TestLowpassAverage:
 
 class TestLoopFilter:
     def test_dc_gain_settles_to_k_lf(self):
-        state = FirstOrderState()
-        dt = 1e-6
-        for _ in range(200_000):
-            y = step_loop_filter(state, 1e-3, dt, DEFAULT_LOOP)
-        assert y == pytest.approx(1.2e3 * 1e-3, rel=1e-6)
+        (b0, b1, a1), _ = _loop_coefficients(DEFAULT_LOOP, 1e-6)
+        assert (b0 + b1) / (1 + a1) == pytest.approx(1.2e3, rel=1e-6)
 
     def test_instantaneous_high_frequency_gain(self):
-        state = FirstOrderState()
-        y = step_loop_filter(state, 1.0, 1e-10, DEFAULT_LOOP)
-        assert y == pytest.approx(1.2e3 * 6e3 / 0.8e6, rel=0.01)
+        (b0, _, _), _ = _loop_coefficients(DEFAULT_LOOP, 1e-10)
+        assert b0 == pytest.approx(1.2e3 * 6e3 / 0.8e6, rel=0.01)
 
     def test_gain_at_loop_filter_pole(self):
         f = DEFAULT_LOOP.f_lf_pole_hz
-        per = 16_000
-        dt = 1.0 / (f * per)
+        dt = 1.0 / (f * 16_000)
         assert dt <= 1 / (100 * DEFAULT_LOOP.f_lf_zero_hz)
-        n_settle, n_meas = 2 * per, 3 * per
-        state = FirstOrderState()
-        ys = np.empty(n_meas)
-        for k in range(n_settle + n_meas):
-            x = math.sin(2 * math.pi * f * k * dt)
-            y = step_loop_filter(state, x, dt, DEFAULT_LOOP)
-            if k >= n_settle:
-                ys[k - n_settle] = y
-        t = (np.arange(n_settle, n_settle + n_meas)) * dt
-        amp = abs(2 * np.sum(ys * np.exp(-1j * 2 * math.pi * f * t)) / n_meas)
+        (b0, b1, a1), _ = _loop_coefficients(DEFAULT_LOOP, dt)
+        z_inv = np.exp(-1j * 2 * math.pi * f * dt)
+        amp = abs((b0 + b1 * z_inv) / (1 + a1 * z_inv))
         expected = 1.2e3 / math.sqrt(2) * abs(1 + 1j * f / DEFAULT_LOOP.f_lf_zero_hz)
         assert expected == pytest.approx(848.6, rel=1e-3)
         assert amp == pytest.approx(expected, rel=0.01)
@@ -164,20 +162,18 @@ class TestLoopFilter:
 
 class TestPhaseShifter:
     def test_dc_gain(self):
-        state = FirstOrderState()
-        dt = 5e-6
-        for _ in range(100_000):
-            y = step_phase_shifter(state, 0.2, dt, DEFAULT_LOOP)
-        assert y == pytest.approx(15.7 * 0.2, rel=1e-6)
+        _, (b0, a1) = _loop_coefficients(DEFAULT_LOOP, 5e-6)
+        assert 2 * b0 / (1 + a1) == pytest.approx(15.7, rel=1e-6)
 
     def test_first_order_time_constant(self):
-        state = FirstOrderState()
         dt = 2e-7
+        _, (b0, a1) = _loop_coefficients(DEFAULT_LOOP, dt)
         target = 15.7 * (1 - math.exp(-1))
         k = 0
-        y = 0.0
-        while y < target:
-            y = step_phase_shifter(state, 1.0, dt, DEFAULT_LOOP)
+        y = z = 0.0
+        while y < target:  # unit step through y = b0 x + z, z = b0 x - a1 y
+            y = b0 + z
+            z = b0 - a1 * y
             k += 1
         t63 = k * dt
         assert t63 == pytest.approx(1 / (2 * math.pi * 2e3), rel=0.05)
@@ -246,15 +242,22 @@ def test_block_statistics_match_per_sample_reference(
 
 
 def test_block_filtering_cost_does_not_grow_with_blocks(monkeypatch):
-    # The filters are folded into per-run weights: running ten times as
-    # many blocks must not call the low-pass once more.
+    # The filters are folded into per-run weights and the loop's bilinear
+    # coefficients are computed once per run: running ten times as many
+    # blocks must not call the low-pass once more, nor the coefficients.
     calls = []
+    coefficient_calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return one_pole_lowpass(*args, **kwargs)
 
+    def counted_coefficients(*args):
+        coefficient_calls.append(1)
+        return _loop_coefficients(*args)
+
     monkeypatch.setattr(cpr, "one_pole_lowpass", counted)
+    monkeypatch.setattr(cpr, "_loop_coefficients", counted_coefficients)
     sc = ChannelScenario(
         baud_rate_hz=100e9, laser=LaserModel(1e6), mismatch=PathMismatch(0.1),
         snr_db=19.0, pd_bandwidth_hz=50e9,
@@ -263,9 +266,10 @@ def test_block_filtering_cost_does_not_grow_with_blocks(monkeypatch):
     counts = {}
     for duration_s in (1e-6, 1e-5):
         calls.clear()
+        coefficient_calls.clear()
         rep = simulate_lock(sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1, duration_s, seed=2)
-        counts[len(rep.time_s)] = len(calls)
-    assert counts == {100: counts[100], 1000: counts[100]}
+        counts[len(rep.time_s)] = len(calls), len(coefficient_calls)
+    assert counts == {100: (counts[100][0], 1), 1000: (counts[100][0], 1)}
 
 
 class TestSimulateLock:
