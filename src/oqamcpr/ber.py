@@ -123,12 +123,8 @@ def _ser_at(c: OffsetQamConstellation, theta, n0):
 
 def _hamming_table(c: OffsetQamConstellation) -> np.ndarray:
     """ham[a, b]: Gray sub-word bit flips between level a and level b."""
-    m = c.side
-    gray = np.array([k ^ (k >> 1) for k in range(m)])
-    xor = gray[:, None] ^ gray[None, :]
-    return np.array(
-        [[bin(int(v)).count("1") for v in row] for row in xor], dtype=float
-    )
+    bits = c.bit_map[:: c.side, : c.bits_per_symbol // 2]  # I sub-word of each level
+    return (bits[:, None] != bits[None, :]).sum(axis=-1).astype(float)
 
 
 def _level_probabilities(c: OffsetQamConstellation, means: np.ndarray, n0: float):

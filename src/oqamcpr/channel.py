@@ -6,7 +6,7 @@ LO/Rx path length mismatch (``BeatNoise``, the one source that the lock
 loop and the eye trace draw from), rotation of offset-QAM symbols by a
 phase error, additive white Gaussian noise, and the single-pole low-pass
 that models both the photodetector bandwidth and the loop's averaging
-filter.
+filter, written as its own matched-z recursion.
 
 Stochastic helpers draw from a ``numpy.random.Generator`` handed in by the
 caller; streams are spawned with ``stream_rng(seed, *key)`` so independent
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .constellation import OffsetQamConstellation, n0_from_snr_db
 
@@ -213,20 +212,21 @@ def add_awgn(values, n0: float, rng: np.random.Generator):
 
 
 def one_pole_lowpass(x, dt_s: float, cutoff_hz: float, zi=None):
-    """Causal single-pole low-pass with exact unity DC gain.
+    """Causal single-pole low-pass of a 1-D signal with exact unity DC gain.
 
     Matched-z discretization y[k] = a*y[k-1] + (1-a)*x[k] with
     a = exp(-2*pi*cutoff*dt), so the continuous first-order step response
-    is reproduced exactly at the sample points.  Returns (y, zf) where zf
-    can seed the next call for streaming use.
+    is reproduced exactly at the sample points.  Returns (y, zf) where zf,
+    the state a*y[-1] after the last sample, can seed the next call as zi.
     """
-    a = np.exp(-2.0 * np.pi * cutoff_hz * dt_s)
-    b = (1.0 - a,)
-    den = (1.0, -a)
-    if zi is None:
-        zi = np.zeros(1)
-    y, zf = lfilter(b, den, np.asarray(x, dtype=float), zi=zi)
-    return y, zf
+    a = float(np.exp(-2.0 * np.pi * cutoff_hz * dt_s))
+    b = 1.0 - a
+    y = np.asarray(x, dtype=float).tolist()
+    z = 0.0 if zi is None else float(zi[0])
+    for k, v in enumerate(y):
+        y[k] = yk = b * v + z
+        z = a * yk
+    return np.array(y), np.array([z])
 
 
 def symbol_stream(constellation, num_symbols: int, seed: int) -> np.ndarray:

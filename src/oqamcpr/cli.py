@@ -201,13 +201,13 @@ _MODE_RUNNERS = {
 }
 
 
-def _resolve_source(source) -> tuple[dict, str | None]:
+def _resolve_source(source) -> dict:
     if isinstance(source, dict):
-        return validate_config(source), None
+        return validate_config(source)
     name = str(source)
     if name in PRESETS:
-        return validate_config(preset_config(name)), name
-    return load_config(name), None
+        return validate_config(preset_config(name))
+    return load_config(name)
 
 
 def run_scenario(source, output_dir: str | None = None) -> RunResult:
@@ -217,7 +217,7 @@ def run_scenario(source, output_dir: str | None = None) -> RunResult:
     overlay SVG when requested, and a manifest recording the resolved
     configuration so any run can be replayed exactly.
     """
-    cfg, preset_name = _resolve_source(source)
+    cfg = _resolve_source(source)
     run = cfg["run"]
     outdir = resolve_output_dir(output_dir, run.get("output_dir"))
     label = run.get("label") or run["mode"].replace("-", "_")
@@ -256,7 +256,6 @@ def run_scenario(source, output_dir: str | None = None) -> RunResult:
     manifest_payload = {
         "tool": TOOL_NAME,
         "version": __version__,
-        "preset": preset_name,
         "mode": mode,
         "config": cfg,
         "outputs": sorted(f.name for f in result.files),

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.signal import welch
+from scipy.signal import lfilter, welch
 from scipy.special import erfc
 
+import oqamcpr
 from oqamcpr.channel import (
     DEFAULT_REFRACTIVE_INDEX,
     SPEED_OF_LIGHT_M_S,
@@ -207,6 +212,31 @@ class TestPdFilter:
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth"):
             ChannelScenario(baud_rate_hz=100e9, pd_bandwidth_hz=0)
+
+    @pytest.mark.parametrize("with_zi", [False, True])
+    @pytest.mark.parametrize("n", [1, 20, 2_000, 200_000])
+    @pytest.mark.parametrize("cutoff_hz", [1e6, 1e9, 5e9, 50e9, 500e9])
+    def test_equals_standard_filter_bit_for_bit(self, cutoff_hz, n, with_zi):
+        # The recursion does lfilter's two multiplies and one add per sample
+        # in the same order, so the outputs agree exactly, not just closely.
+        dt = 5e-12
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        zi = rng.standard_normal(1) if with_zi else None
+        a = np.exp(-2.0 * np.pi * cutoff_hz * dt)
+        y_ref, zf_ref = lfilter((1 - a,), (1, -a), x, zi=np.zeros(1) if zi is None else zi)
+        y, zf = one_pole_lowpass(x, dt, cutoff_hz, zi)
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(zf, zf_ref)
+
+    def test_package_does_not_import_scipy_signal(self):
+        # scipy.signal costs about a second of import time and the package
+        # needs none of it.
+        code = "import sys, oqamcpr.cli; print(any(m.startswith('scipy.signal') for m in sys.modules))"
+        env = {**os.environ, "PYTHONPATH": str(Path(oqamcpr.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestReceivedTrace:

@@ -294,7 +294,6 @@ class TestRunOutputs:
         assert any("crossover_hz=" in l for l in lines if l.startswith("#"))
         assert any("reference_deviation" in l for l in lines if l.startswith("#"))
         manifest = json.loads(result.manifest.read_text())
-        assert manifest["preset"] == "bode_reference_loop"
         assert any("reference_deviation" in n for n in manifest["notes"])
 
     def test_linewidth_preset_writes_one_csv_per_value(self, tmp_path):
@@ -359,7 +358,7 @@ class TestRunOutputs:
         replay_cfg = json.loads(first.manifest.read_text())["config"]
         second = run_scenario(replay_cfg, output_dir=str(tmp_path / "b"))
         assert first.notes == second.notes
-        for name in ("bode.csv", "bode.svg"):
+        for name in ("bode.csv", "bode.svg", "bode_manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
