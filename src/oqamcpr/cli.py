@@ -244,8 +244,9 @@ def run_scenario(source, output_dir: str | None = None) -> RunResult:
     result = RunResult()
     for variant_label, table in tables.items():
         columns = table.columns
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
         result.files.append(write_csv(
-            outdir / f"{variant_label}.csv", tuple(columns), zip(*columns.values()), table.comments
+            outdir / f"{variant_label}.csv", tuple(columns), zip(*values), table.comments
         ))
         result.notes.extend(table.notes)
     if svg is not None:

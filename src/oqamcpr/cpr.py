@@ -21,8 +21,10 @@ alpha = input phase - psi the rotation is cos(alpha) and sin(alpha) times
 the data rotated by the beat phase alone, and the PD and averaging
 low-passes are linear, so a block's mean and the filters' end states are
 fixed weighted sums of its draws plus terms in the incoming states.  Each
-chunk of blocks is reduced to those sums at once, and the loop does only
-scalar work per block.
+chunk of blocks is drawn and reduced to those sums at once, and the loop
+does only scalar work per block.  A chunk draws its level permutations in
+one call, its beat phase in one call, and its AWGN as the sums themselves
+(Gaussian with a known 2x2 covariance), never as per-sample noise.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ from .constellation import OffsetQamConstellation
 DEFAULT_AVERAGING_CUTOFF_HZ = 1e9
 HYSTERESIS_FRACTION = 0.01
 LOCK_TOLERANCE_RAD = math.radians(1.0)
-CHUNK_SAMPLES = 1 << 13  # per symbol-path buffer: 64 KiB, reused from the heap
+# Samples per chunk of blocks drawn at once.  A constant, not a knob: with
+# beat noise or AWGN a seed's draws depend on it; a clean link's do not.
+CHUNK_SAMPLES = 1 << 13
 
 
 class DetectorMethod(enum.Enum):
@@ -149,6 +153,11 @@ def _block_weights(n: int, dt_s: float, pd_cutoff_hz: float | None):
     return wx, ww, np.column_stack([s_pd, [*s_avg, 0.0]])
 
 
+def _awgn_map(ww, sigma):
+    """M: z @ M for standard normals z (..., 2) has the law of ww @ w, w AWGN of std sigma."""
+    return sigma * np.linalg.cholesky(ww @ ww.T).T
+
+
 def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol, n0):
     """Block source of the symbol-level data path.
 
@@ -170,38 +179,36 @@ def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol
     # add pattern-ripple jitter well above the sub-mrad steady-state error.
     balanced_base = np.repeat(constellation.levels, decimation // constellation.side)
 
-    # One stream, drawn per block in a fixed order: the two permutations,
-    # the beat-phase increments, then the AWGN of each axis.
+    # One stream, drawn per chunk of b blocks: the 2b level permutations, the
+    # chunk's beat phase, then its AWGN sums.  So with beat noise or AWGN a
+    # seed's draws depend on CHUNK_SAMPLES; a clean link draws only the
+    # permutations, exactly as per-block ``permutation`` calls would.
     rng = stream_rng(seed, 0x10C)
     beat = BeatNoise(scenario.laser, scenario.mismatch, dt_samp, rng)
     sigma = math.sqrt(n0 / 2.0) if n0 else 0.0
 
     wx, ww, s = _block_weights(n_samp, dt_samp, scenario.pd_bandwidth_hz)
+    noise_map = _awgn_map(ww, sigma)
     # With theta = 0, U = i_sym + a0 is constant over a symbol's samples.
     wx_sym = wx.reshape(3, decimation, samples_per_symbol).sum(axis=2)
     (m_pd, m_avg), (f_pd, f_avg), (p_pd, _) = s.tolist()
     z_pd_i = z_pd_q = z_avg_i = z_avg_q = 0.0  # zero initial filter state
 
     b = max(1, CHUNK_SAMPLES // n_samp)  # blocks per chunk
+    sym = np.empty((b, 2, decimation))
     block = None
     while True:  # the caller stops sending after its last block
-        sym = np.empty((b, 2, decimation))
-        theta = np.empty((b, n_samp)) if beat.delay_samples else None
-        noise = np.empty((b, 2, n_samp)) if sigma else None
-        for k in range(b):
-            sym[k] = rng.permutation(balanced_base), rng.permutation(balanced_base)
-            if theta is not None:
-                theta[k] = beat.draw(n_samp)
-            if sigma:  # the draws of channel.add_awgn on each axis
-                noise[k] = rng.standard_normal((2, n_samp))
+        sym[...] = balanced_base
+        rng.permuted(sym, axis=-1, out=sym)  # in place: C-contiguous, no new array per chunk
+        theta = beat.draw(b * n_samp)
         if theta is None:
             u_sums, v_sums = (sym + a0).transpose(1, 0, 2) @ wx_sym.T
         else:
             u, v = rotate_symbol(*np.repeat(sym, samples_per_symbol, axis=2).transpose(1, 0, 2),
-                                 a0, theta)
+                                 a0, theta.reshape(b, n_samp))
             u_sums, v_sums = u @ wx.T, v @ wx.T
-        n_sums = np.zeros((b, 2, 2)) if noise is None else noise @ (sigma * ww.T)
-        ends = [None] * b if theta is None else theta[:, -1].tolist()
+        n_sums = rng.standard_normal((b, 2, 2)) @ noise_map if sigma else np.zeros((b, 2, 2))
+        ends = [None] * b if theta is None else theta[n_samp - 1::n_samp].tolist()
         sums = zip(u_sums.tolist(), v_sums.tolist(), n_sums.tolist(), ends)
         for (um, uf, up), (vm, vf, vp), ((nim, nif), (nqm, nqf)), end in sums:
             phi_in, psi = yield block

@@ -17,6 +17,8 @@ OUTPUT_DIR_ENV = "OQAMCPR_OUTPUT_DIR"
 
 
 def format_number(value) -> str:
+    if type(value) is float:  # the common case, first
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -25,11 +27,10 @@ def format_number(value) -> str:
 
 
 def write_csv(path: Path, header, rows, comments=()) -> Path:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:  # line by line: no second copy of the table in memory
+        out.writelines(f"# {c}\n" for c in comments)
+        out.write(",".join(header) + "\n")
+        out.writelines(",".join(map(format_number, row)) + "\n" for row in rows)
     return path
 
 

@@ -2,6 +2,7 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oqamcpr import ber, reports, svgplot
@@ -360,6 +361,23 @@ class TestRunOutputs:
         assert first.notes == second.notes
         for name in ("bode.csv", "bode.svg", "bode_manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_csv_renders_numpy_and_python_scalars_alike(tmp_path):
+    # run_scenario hands write_csv Python scalars from .tolist(); they must
+    # render exactly as the numpy scalars of the same columns.
+    rng = np.random.default_rng(5)
+    columns = {
+        "x": np.concatenate([rng.standard_normal(50) * 1e-9, [0.0, -0.0, 1e300, np.nan, np.inf]]),
+        "n": np.arange(55, dtype=np.int64) - 27,
+        "b": np.arange(55) % 3 == 0,
+        "c": [np.float64(0.1)] * 55,
+    }
+    as_numpy = reports.write_csv(tmp_path / "a.csv", tuple(columns), zip(*columns.values()))
+    as_python = reports.write_csv(
+        tmp_path / "b.csv", tuple(columns), zip(*(np.asarray(c).tolist() for c in columns.values()))
+    )
+    assert as_numpy.read_bytes() == as_python.read_bytes()
 
 
 class TestSvg:

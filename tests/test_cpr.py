@@ -179,35 +179,57 @@ class TestPhaseShifter:
         assert t63 == pytest.approx(1 / (2 * math.pi * 2e3), rel=0.05)
 
 
-def per_sample_blocks(scenario, c, seed, decimation, samples_per_symbol, drives):
+def averaging_impulse_weights(n, dt):
+    """(2, n): the block mean and the end state of the 1 GHz low-pass's
+    zero-state response to a unit impulse at each sample of an n-sample block."""
+    rows = []
+    for k in range(n):
+        y, zf = one_pole_lowpass(np.eye(1, n, k)[0], dt, 1e9)
+        rows.append((y.mean(), zf[0]))
+    return np.array(rows).T
+
+
+def per_sample_blocks(scenario, c, seed, decimation, samples_per_symbol, drives, chunk):
     """The symbol path sample by sample, on the lock loop's stream and draw order.
 
-    For each (input phase, psi) in drives: rotate by input phase + beat
-    phase - psi, PD low-pass, AWGN, 1 GHz low-pass, block mean; filter
-    state carries from block to block.  Yields (i_avg, q_avg, dphi_end).
+    Draws per chunk of ``chunk`` blocks: the 2 * chunk level permutations as
+    successive ``permutation`` calls, the chunk's beat phase in one call, then
+    with AWGN its (chunk, 2, 2) standard normals, mapped to each axis's
+    block-mean and end-state noise sums through the Cholesky factor of their
+    covariance.  For each (input phase, psi) in drives: rotate by input phase
+    + beat phase - psi, PD low-pass, 1 GHz low-pass plus those AWGN sums,
+    block mean; filter state carries from block to block.  Yields (i_avg,
+    q_avg, dphi_end).
     """
     dt = 1.0 / (scenario.baud_rate_hz * samples_per_symbol)
+    n = decimation * samples_per_symbol
     n0 = scenario.awgn_n0(c)
     rng = stream_rng(seed, 0x10C)
     beat = BeatNoise(scenario.laser, scenario.mismatch, dt, rng)
     base = np.repeat(c.levels, decimation // c.side)
+    w = averaging_impulse_weights(n, dt)
+    noise_map = math.sqrt(n0 / 2.0) * np.linalg.cholesky(w @ w.T).T if n0 else np.zeros((2, 2))
     zi = {}
-    for phi_in, psi in drives:
-        i_sym = np.repeat(rng.permutation(base), samples_per_symbol)
-        q_sym = np.repeat(rng.permutation(base), samples_per_symbol)
-        theta = beat.draw(decimation * samples_per_symbol)
-        dphi = phi_in - psi if theta is None else phi_in + theta - psi
-        means = []
-        for axis, x in zip("iq", rotate_symbol(i_sym, q_sym, c.a0, dphi)):
-            if scenario.pd_bandwidth_hz is not None:
-                x, zi["pd", axis] = one_pole_lowpass(
-                    x, dt, scenario.pd_bandwidth_hz, zi.get(("pd", axis))
-                )
-            if n0:
-                x = add_awgn(x, n0, rng)
-            x, zi["avg", axis] = one_pole_lowpass(x, dt, 1e9, zi.get(("avg", axis)))
-            means.append(x.mean())
-        yield (*means, float(np.atleast_1d(dphi)[-1]))
+    for start in range(0, len(drives), chunk):
+        perms = [rng.permutation(base) for _ in range(2 * chunk)]
+        theta = beat.draw(chunk * n)
+        noise = rng.standard_normal((chunk, 2, 2)) @ noise_map if n0 else np.zeros((chunk, 2, 2))
+        for k, (phi_in, psi) in enumerate(drives[start:start + chunk]):
+            i_sym = np.repeat(perms[2 * k], samples_per_symbol)
+            q_sym = np.repeat(perms[2 * k + 1], samples_per_symbol)
+            dphi = phi_in - psi if theta is None else phi_in + theta[k * n:(k + 1) * n] - psi
+            means = []
+            rotated = rotate_symbol(i_sym, q_sym, c.a0, dphi)
+            for axis, x, (n_mean, n_end) in zip("iq", rotated, noise[k]):
+                if scenario.pd_bandwidth_hz is not None:
+                    x, zi["pd", axis] = one_pole_lowpass(
+                        x, dt, scenario.pd_bandwidth_hz, zi.get(("pd", axis))
+                    )
+                # The low-pass is linear: the AWGN adds its zero-state sums.
+                x, zf = one_pole_lowpass(x, dt, 1e9, zi.get(("avg", axis)))
+                zi["avg", axis] = zf + n_end
+                means.append(x.mean() + n_mean)
+            yield (*means, float(np.atleast_1d(dphi)[-1]))
 
 
 @pytest.mark.parametrize(
@@ -237,8 +259,79 @@ def test_block_statistics_match_per_sample_reference(
     source = cpr._symbol_blocks(sc, c, 3, decimation, 2, sc.awgn_n0(c))
     next(source)
     got = np.array([source.send(tuple(drive)) for drive in drives])
-    want = np.array(list(per_sample_blocks(sc, c, 3, decimation, 2, drives)))
+    want = np.array(list(per_sample_blocks(sc, c, 3, decimation, 2, drives, chunk=3)))
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_awgn_sums_have_the_per_sample_covariance():
+    # The loop draws a block's AWGN as its two sums per axis (block mean and
+    # the averaging low-pass's end state), z @ cpr._awgn_map(ww, sigma).  Their
+    # covariance must be sigma^2 ww ww^T, and that of the same sums of full
+    # per-sample draws through add_awgn and the 1 GHz low-pass, within 5
+    # standard errors sqrt((C_ii C_jj + C_ij^2) / N) per entry.  A 40-sample
+    # block at 5 ps keeps 0.28 of the filter state, so the two sums correlate.
+    n, dt, n0, draws = 40, 5e-12, 0.02, 20_000
+    sigma = math.sqrt(n0 / 2.0)
+    _, ww, _ = cpr._block_weights(n, dt, None)
+    noise_map = cpr._awgn_map(ww, sigma)
+    want = sigma**2 * ww @ ww.T
+    assert np.allclose(noise_map.T @ noise_map, want, rtol=1e-12, atol=0.0)
+    w = averaging_impulse_weights(n, dt)
+    assert np.allclose(ww, w, rtol=1e-12, atol=1e-15)
+
+    rng = np.random.default_rng(11)
+    drawn = rng.standard_normal((draws, 2)) @ noise_map
+    per_sample = np.array([
+        (y.mean(), zf[0])
+        for y, zf in (one_pole_lowpass(add_awgn(np.zeros(n), n0, rng), dt, 1e9)
+                      for _ in range(draws))
+    ])
+    cov = {name: x.T @ x / draws for name, x in (("drawn", drawn), ("per_sample", per_sample))}
+    se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / draws)
+    assert np.all(np.abs(cov["drawn"] - want) <= 5 * se)
+    assert np.all(np.abs(cov["per_sample"] - want) <= 5 * se)
+    # two independent estimates: their difference has sqrt(2) times the error
+    assert np.all(np.abs(cov["drawn"] - cov["per_sample"]) <= 5 * math.sqrt(2) * se)
+
+
+@pytest.mark.parametrize(
+    "order, decimation", [(4, 2), (4, 1000), (16, 4), (16, 1000), (64, 8), (64, 1000)]
+)
+def test_chunk_permutations_equal_per_block_permutations(order, decimation):
+    # A clean link draws only the level permutations, so its lock outputs do
+    # not depend on the chunk size only while ``permuted`` along the last axis
+    # consumes the stream as one ``permutation`` call per row does.
+    c = build_constellation(order, 1.0, 0.1)
+    base = np.repeat(c.levels, decimation // c.side)
+    b = max(1, cpr.CHUNK_SAMPLES // (2 * decimation))
+    buf = np.empty((b, 2, decimation))
+    buf[...] = base
+    rng, ref = stream_rng(3, 0x10C), stream_rng(3, 0x10C)
+    rng.permuted(buf, axis=-1, out=buf)
+    want = np.array([ref.permutation(base) for _ in range(2 * b)]).reshape(b, 2, decimation)
+    assert np.array_equal(buf, want)
+    assert rng.random() == ref.random()  # and both leave the stream at the same point
+
+
+@pytest.mark.parametrize(
+    "order, decimation, baud_rate_hz", [(16, 1000, 100e9), (4, 2, 2e8)], ids=["16qam", "dec2"]
+)
+def test_clean_lock_does_not_depend_on_chunk_size(monkeypatch, order, decimation, baud_rate_hz):
+    # A clean link draws the same levels whatever the chunk size (the test
+    # above pins that bit for bit).  The chunk's matmul may still round a row
+    # differently with the number of rows in it (by ~1e-15 on OpenBLAS, whose
+    # kernel takes rows four at a time), so the outputs agree to rounding;
+    # different levels would move them by far more.
+    c = build_constellation(order, 1.0, 0.1)
+    sc = ChannelScenario(baud_rate_hz=baud_rate_hz, phi_offset_rad=0.6)
+    reports = []
+    for chunk_samples in (cpr.CHUNK_SAMPLES, 7 * 2 * decimation):
+        monkeypatch.setattr(cpr, "CHUNK_SAMPLES", chunk_samples)
+        reports.append(simulate_lock(
+            sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1e-5, seed=4, decimation=decimation
+        ))
+    for name in ("time_s", "psi_rad", "delta_phi_rad", "error_v"):
+        assert np.max(np.abs(getattr(reports[0], name) - getattr(reports[1], name))) <= 1e-12
 
 
 def test_block_filtering_cost_does_not_grow_with_blocks(monkeypatch):
