@@ -131,11 +131,19 @@ def _level_probabilities(c: OffsetQamConstellation, means: np.ndarray, n0: float
     """P(decided level | rotated mean) along one axis.
 
     means has shape (..., ); the result appends a level axis of size
-    sqrt(order).  P(level j) = P(mean + noise lands in region j).
+    sqrt(order).  P(level j) = P(mean + noise lands in region j), taken
+    from the lower tails P(x < t) for a region below the mean, from the
+    upper tails P(x > t) for a region above it, and as 1 minus both for
+    the region that holds it, so no tail is lost against 1.
     """
-    cdf = _tail_prob(n0)(means[..., None] - c.thresholds)
-    return np.concatenate(
-        (cdf[..., :1], np.diff(cdf, axis=-1), 1.0 - cdf[..., -1:]), axis=-1
+    m = means[..., None]
+    t_lo, t_hi = _region_bounds(c)
+    # P(crossing a bound away from the mean): P(x < t) for a bound below
+    # the mean, P(x > t) for one above it.
+    tail = _tail_prob(n0)
+    out_lo, out_hi = tail(np.abs(m - t_lo)), tail(np.abs(m - t_hi))
+    return np.where(
+        t_hi <= m, out_hi - out_lo, np.where(t_lo > m, out_lo - out_hi, 1.0 - out_lo - out_hi)
     )
 
 

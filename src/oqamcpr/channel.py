@@ -134,9 +134,8 @@ class BeatNoise:
     their theta; a link with zero linewidth or zero mismatch has no beat noise,
     draws nothing and returns None.
 
-    The last d samples of phi live in a ring of length d + n (n the longest
-    block so far) addressed by index, so a block costs O(n) however long
-    the delay.
+    The last d samples of phi are kept as a plain delay line, so a draw of
+    n samples costs O(d + n).
     """
 
     def __init__(
@@ -148,9 +147,7 @@ class BeatNoise:
         self.delay_samples = delay_in_samples(mismatch.tau_s, dt_s) if noisy else 0
         self._sigma = math.sqrt(2.0 * math.pi * laser.linewidth_hz * dt_s)
         self._rng = rng
-        self._phi_last = 0.0
-        self._ring = np.zeros(self.delay_samples)
-        self._pos = 0  # ring slot of the next sample
+        self._past = np.zeros(self.delay_samples)  # phi of the last d samples, oldest first
 
     def draw(self, n: int) -> np.ndarray | None:
         """theta for the next n samples, or None when there is no beat noise."""
@@ -158,28 +155,12 @@ class BeatNoise:
             raise ValueError(f"block length n must be >= 1, got {n}")
         if not self.delay_samples:
             return None
-        d = self.delay_samples
         phase = self._rng.normal(0.0, self._sigma, n)
         np.cumsum(phase, out=phase)
-        phase += self._phi_last
-        self._phi_last = phase[-1]
-        if self._ring.size < d + n:
-            # The last d samples, oldest first, head a ring of d + n.
-            tail = np.roll(self._ring, -self._pos)[-d:]
-            self._ring = np.concatenate((tail, np.zeros(n)))
-            self._pos = d
-        ring, start = self._ring, self._pos
-        head = min(n, ring.size - start)
-        ring[start:start + head] = phase[:head]
-        ring[:n - head] = phase[head:]
-        self._pos = (start + n) % ring.size
-        # With the ring d + n long, writing this block overwrote only
-        # samples older than k - d, so the delayed copy is intact.
-        start = (start - d) % ring.size
-        head = min(n, ring.size - start)
-        phase[:head] -= ring[start:start + head]
-        phase[head:] -= ring[:n - head]
-        return phase
+        phase += self._past[-1]
+        past = np.concatenate((self._past, phase))
+        self._past = past[n:]
+        return phase - past[:n]
 
 
 def rotate_symbol(i, q, a0: float, delta_phi):
@@ -271,8 +252,7 @@ def received_trace(
 
     n0 = scenario.awgn_n0(constellation)
     if n0:
-        i_rx = add_awgn(i_rx, n0, stream_rng(seed, 0xA36))
-        q_rx = add_awgn(q_rx, n0, stream_rng(seed + 1, 0xA36))
+        i_rx, q_rx = add_awgn(np.stack((i_rx, q_rx)), n0, stream_rng(seed, 0xA36))
 
     t = np.arange(i_rx.size) * dt
     return t, i_rx, q_rx

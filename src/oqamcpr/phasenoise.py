@@ -130,9 +130,5 @@ def shaped_spectrum(
     band = default_integration_band(tau_s if tau_s > 0 else 1e-9, params)
     f = log_frequency_grid(*band, GRID_POINTS_PER_DECADE)
     psd = np.asarray(shaped_psd(f, linewidth_hz, tau_s, params))
-    if tau_s > 0 and linewidth_hz > 0:
-        var = total_variance(linewidth_hz, tau_s, params)
-    else:
-        var = 0.0
-        psd = np.zeros_like(f)
+    var = total_variance(linewidth_hz, tau_s, params)
     return ShapedPhaseNoise(freqs_hz=f, psd_rad2_per_hz=psd, variance_rad2=var)

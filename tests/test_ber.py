@@ -147,6 +147,16 @@ class TestSemiAnalytic:
             expected = 0.5 * erfc(math.sqrt(es / (2 * n0)))
             assert abs(ber - expected) < 1e-6, snr_db
 
+    @pytest.mark.parametrize("snr_db", [20.0, 24.0, 28.0])
+    def test_4qam_ber_keeps_upper_tails_at_low_ber(self, snr_db):
+        # Every 4-QAM axis error flips one of the two bits; the regions above
+        # the mean must not lose their tails against 1 (below about 1e-16).
+        c = build_constellation(4, 1.0, 0.1)
+        env = NoiseEnvironment(n0_from_snr_db(c, snr_db))
+        p_i, p_q = zip(*(axis_error_probabilities(c, s, 0.0, env) for s in range(c.order)))
+        expected = np.mean((np.array(p_i) + np.array(p_q)) / 2)
+        assert semi_analytic_ber(c, env) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_ser_offset_invisible_without_phase_error(self):
         es = average_symbol_energy(build_constellation(4, 1.0, 0.0))
         n0 = es / 10.0

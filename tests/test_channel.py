@@ -111,8 +111,9 @@ class TestBeatPhase:
             (0.1, [98] * 30),
             (100.0, [2000] * 60),
             (1.0, [50, 400, 1000, 3000, 200, 5000]),
+            (1.0, [5000, 300, 7, 1, 2000]),
         ],
-        ids=["d<n", "d=n", "d>>n", "growing-blocks"],
+        ids=["d<n", "d=n", "d>>n", "growing-blocks", "shrinking-blocks"],
     )
     def test_blocks_match_one_shot_reference(self, delta_l_m, blocks):
         lw, dt = 1e6, 5e-12
@@ -278,6 +279,20 @@ class TestReceivedTrace:
         theta = beat.draw(t.size)
         assert np.std(theta) > 0.01
         assert np.allclose(phase, 0.2 + theta, rtol=0, atol=1e-12)
+
+    def test_awgn_is_one_stream_per_seed(self):
+        # The I noise is the head of the seed's own AWGN stream; the Q noise
+        # follows it there instead of repeating the next seed's I noise.
+        c = build_constellation(4, 1.0, 0.1)
+        clean = ChannelScenario(baud_rate_hz=100e9)
+        noisy = ChannelScenario(baud_rate_hz=100e9, n0=0.02)
+        _, i_clean, q_clean = received_trace(c, clean, num_symbols=200, seed=3)
+        _, i_rx, q_rx = received_trace(c, noisy, num_symbols=200, seed=3)
+        assert np.array_equal(i_rx, add_awgn(i_clean, 0.02, stream_rng(3, 0xA36)))
+        _, i_next, _ = received_trace(c, noisy, num_symbols=200, seed=4)
+        _, i_next_clean, _ = received_trace(c, clean, num_symbols=200, seed=4)
+        q_noise, i_next_noise = q_rx - q_clean, i_next - i_next_clean
+        assert abs(np.corrcoef(q_noise, i_next_noise)[0, 1]) < 0.3
 
     def test_snr_and_n0_mutually_exclusive(self):
         with pytest.raises(ValueError, match="snr_db or n0"):

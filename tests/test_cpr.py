@@ -442,8 +442,8 @@ class TestSimulateLock:
         assert rep.delta_phi_rad[len(rep.delta_phi_rad) // 2:].std() < 0.2
 
     def test_long_mismatch_delay_runs(self):
-        # At 100 m the delay is ~98k samples, about 49 blocks of 2k samples,
-        # so each block's delayed phase comes from blocks drawn long before.
+        # At 100 m the delay is ~98k samples, about 12 chunks of 8k samples,
+        # so each chunk's delayed phase comes from chunks drawn long before.
         c = build_constellation(16, 1.0, 0.1)
         sc = ChannelScenario(
             baud_rate_hz=100e9, laser=LaserModel(1e6), mismatch=PathMismatch(100.0)
