@@ -9,6 +9,11 @@ probabilities are erfc(d / sqrt(n0)) / 2).  I and Q errors combine as
 p_i + p_q - p_i * p_q, and the Gaussian residual phase (std sigma_pn) is
 integrated out with Gauss-Legendre quadrature.
 
+The kernels evaluate each distinct tail once: only at the finite I-axis
+thresholds, because the Q mean of symbol (a, b) at theta is bit for bit the
+I mean of symbol (b, a) at -theta, so on phase nodes symmetric about 0 (the
+Gauss-Legendre nodes are) each Q term is the transposed symbol's I term.
+
 Two rate figures are provided on top of the symbol error rate:
 
 * ``ber_from_ser`` divides by log2(order) (one bit per symbol error),
@@ -53,20 +58,32 @@ class NoiseEnvironment:
             raise ValueError("sigma_pn_rad must be >= 0")
 
 
-def _rotated_means(c: OffsetQamConstellation, theta):
-    """Rotated absolute symbol coordinates, shape (order,) x theta shape."""
+def _rotated_i(c: OffsetQamConstellation, theta):
+    """Rotated I coordinate px cos(theta) + py sin(theta), shape (order,) x theta shape."""
     th = np.asarray(theta, dtype=float)
     px = c.points[:, 0].reshape(-1, *([1] * th.ndim))
     py = c.points[:, 1].reshape(-1, *([1] * th.ndim))
-    ci, si = np.cos(th), np.sin(th)
-    return px * ci + py * si, py * ci - px * si
+    return px * np.cos(th) + py * np.sin(th)
 
 
-def _region_bounds(c: OffsetQamConstellation):
-    """Per-level decision bounds (t_lo, t_hi) with infinities at the edges."""
-    t_lo = np.concatenate(([-np.inf], c.thresholds))
-    t_hi = np.concatenate((c.thresholds, [np.inf]))
-    return t_lo, t_hi
+def _q_from_i(c: OffsetQamConstellation, values):
+    """Q-axis terms of (a, b) as the I-axis terms of (b, a) at -theta.
+
+    Exact when theta is symmetric about 0 along the last axis
+    (theta[..., ::-1] == -theta), as np.cos is even and np.sin odd.
+    """
+    ki, kq = c.level_indices.T
+    return values[kq * c.side + ki][..., ::-1]
+
+
+def _at_theta(values_fn, theta):
+    """values_fn(nodes) -> (..., nodes) at any theta, shaped (...) + theta's shape.
+
+    values_fn runs on nodes symmetric about 0: theta, then -theta reversed.
+    """
+    flat = np.asarray(theta, dtype=float).ravel()
+    values = values_fn(np.concatenate((flat, -flat[::-1])))[..., : flat.size]
+    return values.reshape(values.shape[:-1] + np.shape(theta))
 
 
 def _tail_prob(n0):
@@ -87,16 +104,19 @@ def _symbol_errors(c: OffsetQamConstellation, theta, n0):
     """Per-axis (p_i, p_q) and symbol error probabilities of every symbol.
 
     Each has shape (order,) + the broadcast shape of theta and n0; I and Q
-    errors combine as p_i + p_q - p_i * p_q.
+    errors combine as p_i + p_q - p_i * p_q.  theta must be symmetric about
+    0 along its last axis and n0 constant along it (see _q_from_i).
     """
-    x, y = _rotated_means(c, theta)
-    t_lo, t_hi = _region_bounds(c)
-    ki = c.level_indices[:, 0]
-    kq = c.level_indices[:, 1]
-    shape = [-1] + [1] * (np.asarray(theta).ndim)
+    x = _rotated_i(c, theta)
+    m = c.side
+    shape = [-1] + [1] * np.ndim(theta)
+    # Symbols s = ki * m + kq: the first m have no lower bound, the last m no upper.
+    t_lo = c.thresholds[c.level_indices[m:, 0] - 1].reshape(shape)
+    t_hi = c.thresholds[c.level_indices[:-m, 0]].reshape(shape)
     tail = _tail_prob(n0)
-    p_i = tail(x - t_lo[ki].reshape(shape)) + tail(t_hi[ki].reshape(shape) - x)
-    p_q = tail(y - t_lo[kq].reshape(shape)) + tail(t_hi[kq].reshape(shape) - y)
+    below, above = tail(x[m:] - t_lo), tail(t_hi - x[:-m])
+    p_i = np.concatenate((above[:m], below[:-m] + above[m:], below[-m:]))
+    p_q = _q_from_i(c, p_i)
     return p_i, p_q, p_i + p_q - p_i * p_q
 
 
@@ -104,7 +124,7 @@ def axis_error_probabilities(
     c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
 ):
     """Conditional per-axis error probabilities (p_i, p_q) at phase theta."""
-    p_i, p_q, _ = _symbol_errors(c, theta, env.n0)
+    p_i, p_q, _ = _at_theta(lambda th: np.stack(_symbol_errors(c, th, env.n0)), theta)
     return p_i[symbol_index], p_q[symbol_index]
 
 
@@ -112,7 +132,7 @@ def conditional_symbol_error(
     c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
 ):
     """P(symbol error | sent symbol, residual phase theta)."""
-    out = _symbol_errors(c, theta, env.n0)[2][symbol_index]
+    out = _at_theta(lambda th: _symbol_errors(c, th, env.n0)[2][symbol_index], theta)
     return out if np.ndim(out) else float(out)
 
 
@@ -137,39 +157,29 @@ def _level_probabilities(c: OffsetQamConstellation, means: np.ndarray, n0: float
     the region that holds it, so no tail is lost against 1.
     """
     m = means[..., None]
-    t_lo, t_hi = _region_bounds(c)
-    # P(crossing a bound away from the mean): P(x < t) for a bound below
-    # the mean, P(x > t) for one above it.
-    tail = _tail_prob(n0)
-    out_lo, out_hi = tail(np.abs(m - t_lo)), tail(np.abs(m - t_hi))
+    t_lo, t_hi = np.append(-np.inf, c.thresholds), np.append(c.thresholds, np.inf)
+    # P(crossing a threshold away from the mean): P(x < t) for one below
+    # the mean, P(x > t) for one above it; 0 at the infinite outer bounds.
+    out = np.pad(_tail_prob(n0)(np.abs(m - c.thresholds)), [(0, 0)] * means.ndim + [(1, 1)])
+    out_lo, out_hi = out[..., :-1], out[..., 1:]
     return np.where(
         t_hi <= m, out_hi - out_lo, np.where(t_lo > m, out_lo - out_hi, 1.0 - out_lo - out_hi)
     )
 
 
 def _symbol_bit_errors(c: OffsetQamConstellation, theta, n0: float):
-    """Expected Gray bit flips of every symbol, shape (order, theta size)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    x, y = _rotated_means(c, theta)
-    ham = _hamming_table(c)
-    total = np.zeros((c.order,) + theta.shape)
-    for means, k_true in ((x, c.level_indices[:, 0]), (y, c.level_indices[:, 1])):
-        p_level = _level_probabilities(c, means, n0)
-        total += np.einsum("skl,sl->sk", p_level, ham[k_true])
-    return total
-
-
-def _bit_errors_at(c: OffsetQamConstellation, theta, n0: float):
-    """Mean expected Gray bit flips per symbol at each theta."""
-    return _symbol_bit_errors(c, theta, n0).mean(axis=0)
+    """Expected Gray bit flips of every symbol at 1-D theta symmetric about 0."""
+    p_level = _level_probabilities(c, _rotated_i(c, theta), n0)
+    flips_i = np.einsum("skl,sl->sk", p_level, _hamming_table(c)[c.level_indices[:, 0]])
+    return flips_i + _q_from_i(c, flips_i)
 
 
 def conditional_bit_errors(
     c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
 ):
     """Expected Gray bit flips for one transmitted symbol at phase theta."""
-    total = _symbol_bit_errors(c, theta, env.n0)[symbol_index]
-    return float(total[0]) if np.ndim(theta) == 0 else total
+    total = _at_theta(lambda th: _symbol_bit_errors(c, th, env.n0)[symbol_index], theta)
+    return total if np.ndim(total) else float(total)
 
 
 # Gauss-Legendre order of the phase integral and the relative agreement
@@ -243,7 +253,9 @@ def semi_analytic_ser(c: OffsetQamConstellation, env: NoiseEnvironment) -> float
 
 def semi_analytic_ber(c: OffsetQamConstellation, env: NoiseEnvironment) -> float:
     """Exact Gray-coded bit error rate (expected bit flips / bits per symbol)."""
-    bit_flips = _integrate_over_phase(lambda th: _bit_errors_at(c, th, env.n0), env.sigma_pn_rad)
+    bit_flips = _integrate_over_phase(
+        lambda th: _symbol_bit_errors(c, th, env.n0).mean(axis=0), env.sigma_pn_rad
+    )
     return float(bit_flips) / c.bits_per_symbol
 
 
@@ -272,7 +284,6 @@ def monte_carlo_ber(c: OffsetQamConstellation, env: NoiseEnvironment, num_symbol
         raise ValueError("num_symbols must be >= 1e4 for a meaningful estimate")
     rng = stream_rng(seed, 0xBE7)
     ham = _hamming_table(c)
-    m = c.side
     noise_sigma = math.sqrt(env.n0 / 2.0)
 
     sym_errors = 0

@@ -154,11 +154,14 @@ def map_bits(c: OffsetQamConstellation, bits) -> tuple[float, float]:
 
 
 def decide_levels(c: OffsetQamConstellation, values) -> np.ndarray:
-    """Per-axis hard decision: level index for each value.
+    """Per-axis hard decision: level index = number of thresholds below the value.
 
-    Values exactly on a threshold resolve to the lower level.
+    Values exactly on a threshold resolve to the lower level (NaN to the top one).
     """
-    return np.searchsorted(c.thresholds, values, side="left")
+    k = np.full(np.shape(values), c.thresholds.size, dtype=np.intp)
+    for t in c.thresholds:
+        k -= values <= t
+    return k[()]
 
 
 def decide_indices(c: OffsetQamConstellation, i_values, q_values) -> np.ndarray:

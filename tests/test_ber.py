@@ -228,6 +228,141 @@ class TestQuadNodes:
                 arr[0] = 0.0
 
 
+# The two-axis kernels written directly: every tail of both axes, the
+# infinite outer bounds included, at any theta.  The module's kernels must
+# equal them bit for bit.
+
+def reference_rotated_means(c, theta):
+    th = np.asarray(theta, dtype=float)
+    shape = [-1] + [1] * th.ndim
+    px, py = c.points[:, 0].reshape(shape), c.points[:, 1].reshape(shape)
+    ci, si = np.cos(th), np.sin(th)
+    return px * ci + py * si, py * ci - px * si
+
+
+def reference_tail(distance, n0):
+    root = np.sqrt(n0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(root == 0, distance < 0, 0.5 * erfc(distance / root))
+
+
+def reference_bounds(c):
+    return np.concatenate(([-np.inf], c.thresholds)), np.concatenate((c.thresholds, [np.inf]))
+
+
+def reference_symbol_errors(c, theta, n0):
+    x, y = reference_rotated_means(c, theta)
+    t_lo, t_hi = reference_bounds(c)
+    shape = [-1] + [1] * np.ndim(theta)
+    ki, kq = c.level_indices.T
+    p_i = reference_tail(x - t_lo[ki].reshape(shape), n0) + reference_tail(
+        t_hi[ki].reshape(shape) - x, n0
+    )
+    p_q = reference_tail(y - t_lo[kq].reshape(shape), n0) + reference_tail(
+        t_hi[kq].reshape(shape) - y, n0
+    )
+    return p_i, p_q, p_i + p_q - p_i * p_q
+
+
+def reference_symbol_bit_errors(c, theta, n0):
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    t_lo, t_hi = reference_bounds(c)
+    ham = ber_module._hamming_table(c)
+    total = np.zeros((c.order,) + theta.shape)
+    for means, k_true in zip(reference_rotated_means(c, theta), c.level_indices.T):
+        m = means[..., None]
+        out_lo = reference_tail(np.abs(m - t_lo), n0)
+        out_hi = reference_tail(np.abs(m - t_hi), n0)
+        p_level = np.where(
+            t_hi <= m,
+            out_hi - out_lo,
+            np.where(t_lo > m, out_lo - out_hi, 1.0 - out_lo - out_hi),
+        )
+        total += np.einsum("skl,sl->sk", p_level, ham[k_true])
+    return total
+
+
+KERNEL_SIGMAS = (0.0, 0.02, 0.1)
+
+
+class TestTransposedKernels:
+    @pytest.mark.parametrize("order", [ber_module.QUAD_ORDER, 2 * ber_module.QUAD_ORDER + 1])
+    def test_quadrature_nodes_are_symmetric(self, order):
+        # The kernels read the Q axis off the I axis at the mirrored node.
+        x, _ = ber_module._quad_nodes(order)
+        assert np.array_equal(x, -x[::-1])
+        for half_width in (8 * 0.02, 8 * 0.0555, 8 * 0.1, math.pi):
+            theta = x * half_width
+            assert np.array_equal(theta[::-1], -theta)
+            assert np.array_equal(np.cos(theta[::-1]), np.cos(theta))
+            assert np.array_equal(np.sin(theta[::-1]), -np.sin(theta))
+
+    @pytest.mark.parametrize("sigma", KERNEL_SIGMAS)
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_kernels_equal_two_axis_reference(self, order, sigma):
+        c = build_constellation(order, 1.0, 0.3)
+        n0 = n0_from_snr_db(c, 15.0)
+        column = np.array([n0_from_snr_db(c, snr) for snr in (8.0, 15.0, 30.0)])[:, None]
+        orders = (ber_module.QUAD_ORDER, 2 * ber_module.QUAD_ORDER + 1)
+        nodes = [ber_module._quad_nodes(k)[0] for k in orders]
+        thetas = [x * 8.0 * sigma for x in nodes] if sigma else [np.zeros(1)]
+        for theta in thetas:
+            for noise in (0.0, n0):
+                for got, want in zip(
+                    ber_module._symbol_errors(c, theta, noise),
+                    reference_symbol_errors(c, theta, noise),
+                ):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(
+                    ber_module._symbol_bit_errors(c, theta, noise),
+                    reference_symbol_bit_errors(c, theta, noise),
+                )
+            for got, want in zip(
+                ber_module._symbol_errors(c, theta[None, :], column),
+                reference_symbol_errors(c, theta[None, :], column),
+            ):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sigma", KERNEL_SIGMAS)
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_rates_equal_two_axis_reference(self, monkeypatch, order, sigma):
+        c = build_constellation(order, 1.0, 0.3)
+        grid = np.arange(10.0, 30.0, 2.0)
+        envs = [NoiseEnvironment(n0_from_snr_db(c, snr), sigma) for snr in grid]
+
+        def rates():
+            return (
+                [semi_analytic_ser(c, env) for env in envs],
+                [semi_analytic_ber(c, env) for env in envs],
+                snr_sweep(c, sigma, grid).ser,
+            )
+
+        got = rates()
+        monkeypatch.setattr(ber_module, "_symbol_errors", reference_symbol_errors)
+        monkeypatch.setattr(ber_module, "_symbol_bit_errors", reference_symbol_bit_errors)
+        for new, old in zip(got, rates()):
+            assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_entry_points_at_any_theta_equal_reference(self, order):
+        c = build_constellation(order, 1.0, 0.3)
+        for theta in (np.linspace(-0.7, 0.3, 37), 0.17, 0.0, np.array([-0.4])):
+            for n0 in (0.0, n0_from_snr_db(c, 15.0)):
+                env = NoiseEnvironment(n0)
+                p_i, p_q, p_e = reference_symbol_errors(c, theta, n0)
+                flips = reference_symbol_bit_errors(c, theta, n0)
+                for s in range(c.order):
+                    got_i, got_q = axis_error_probabilities(c, s, theta, env)
+                    assert np.array_equal(got_i, p_i[s]) and np.array_equal(got_q, p_q[s])
+                    assert np.shape(got_i) == np.shape(theta)
+                    assert np.array_equal(conditional_symbol_error(c, s, theta, env), p_e[s])
+                    got = conditional_bit_errors(c, s, theta, env)
+                    if np.ndim(theta) == 0:
+                        assert type(got) is float and got == flips[s, 0]
+                    else:
+                        assert np.array_equal(got, flips[s])
+
+
 class TestBerFromSer:
     def test_values(self):
         assert ber_from_ser(0.01, 4) == pytest.approx(0.005)

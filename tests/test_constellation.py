@@ -9,6 +9,7 @@ from oqamcpr.constellation import (
     average_symbol_energy,
     build_constellation,
     decide_indices,
+    decide_levels,
     demap_point,
     map_bits,
 )
@@ -125,6 +126,26 @@ def test_demap_tie_breaks_to_lower_level():
     on_thr = demap_point(c, 1 / 3, 0.0)
     below = demap_point(c, 1 / 3 - 1e-12, -1e-12)
     assert tuple(on_thr) == tuple(below)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_decide_levels_matches_sorted_search(order):
+    c = build_constellation(order, 1.0, 0.2)
+    t = c.thresholds
+    values = np.concatenate((
+        np.random.default_rng(order).uniform(-0.2, 1.4, 100_000),
+        t,
+        np.nextafter(t, -np.inf),
+        np.nextafter(t, np.inf),
+        [np.nan, -np.inf, np.inf],
+    ))
+    assert np.array_equal(decide_levels(c, values), np.searchsorted(t, values, side="left"))
+    for v in values[-3 * t.size - 3:]:
+        k, want = decide_levels(c, v), np.searchsorted(t, v, side="left")
+        assert type(k) is type(want) and k == want
+    # a 0-d decision indexes bit_map, as demap_point does
+    i, q = t[0], np.nextafter(t[-1], np.inf)
+    assert tuple(demap_point(c, i, q)) == tuple(c.bit_map[c.side - 1])
 
 
 def test_decide_indices_vectorized_matches_scalar():
