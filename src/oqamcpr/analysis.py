@@ -14,6 +14,7 @@ gain K_pd.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -229,6 +230,7 @@ def scale_to_closed_loop_bandwidth(params: LoopParams, target_hz: float) -> Loop
         raise ValueError("target_hz must be > 0")
     f_scan = max(FREQ_GRID_MAX_HZ, 1e5 * target_hz)
 
+    @functools.cache  # the bracket check repeats the loops' last multipliers
     def bw_for(mult: float) -> float:
         p = replace(params, k_lf_v_per_v=params.k_lf_v_per_v * mult)
         m = bode_metrics(p, f_max_hz=f_scan)

@@ -3,10 +3,11 @@
 Covers the stochastic and deterministic signal path outside the recovery
 loop: the streaming beat phase of Wiener laser phase noise seen through an
 LO/Rx path length mismatch (``BeatNoise``, the one source that the lock
-loop and the eye trace draw from), rotation of offset-QAM symbols by a
-phase error, additive white Gaussian noise, and the single-pole low-pass
-that models both the photodetector bandwidth and the loop's averaging
-filter, written as its own matched-z recursion.
+loop and the eye trace draw from, stationary from its first sample),
+rotation of offset-QAM symbols by a phase error, additive white Gaussian
+noise, and the single-pole low-pass that models both the photodetector
+bandwidth and the loop's averaging filter, written as its own matched-z
+recursion.
 
 Stochastic helpers draw from a ``numpy.random.Generator`` handed in by the
 caller; streams are spawned with ``stream_rng(seed, *key)`` so independent
@@ -127,11 +128,13 @@ def delay_in_samples(tau_s: float, dt_s: float) -> int:
 class BeatNoise:
     """Streaming beat phase of a Wiener laser seen through a path mismatch.
 
-    theta[k] = phi[k] - phi[k - d] with d = round(tau/dt) and phi = 0 before
-    the start, where phi is a Wiener path whose i.i.d. increments have the
-    variance 2 * pi * linewidth * dt of a Lorentzian line.  ``draw(n)``
-    draws the increments of the next n samples from ``rng`` and returns
-    their theta; a link with zero linewidth or zero mismatch has no beat noise,
+    theta[k] = phi[k] - phi[k - d] with d = round(tau/dt), where phi is a
+    Wiener path whose i.i.d. increments have the variance
+    2 * pi * linewidth * dt of a Lorentzian line.  The constructor draws the
+    d samples of phi before the start from ``rng``, so theta is stationary,
+    with variance 2 * pi * linewidth * tau, from the first sample on.
+    ``draw(n)`` draws the increments of the next n samples and returns their
+    theta; a link with zero linewidth or zero mismatch has no beat noise,
     draws nothing and returns None.
 
     The last d samples of phi are kept as a plain delay line, so a draw of
@@ -147,7 +150,8 @@ class BeatNoise:
         self.delay_samples = delay_in_samples(mismatch.tau_s, dt_s) if noisy else 0
         self._sigma = math.sqrt(2.0 * math.pi * laser.linewidth_hz * dt_s)
         self._rng = rng
-        self._past = np.zeros(self.delay_samples)  # phi of the last d samples, oldest first
+        # phi of the last d samples, oldest first
+        self._past = np.cumsum(rng.normal(0.0, self._sigma, self.delay_samples))
 
     def draw(self, n: int) -> np.ndarray | None:
         """theta for the next n samples, or None when there is no beat noise."""

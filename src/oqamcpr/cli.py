@@ -320,6 +320,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and domain rejections alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # e.g. a duration_s or num_symbols too large to hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except ConvergenceError as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return 3

@@ -22,22 +22,6 @@ import numpy as np
 SUPPORTED_ORDERS = (4, 16, 64, 256)
 
 
-def _gray(k: int) -> int:
-    return k ^ (k >> 1)
-
-
-def _gray_to_index(g: int) -> int:
-    k = g
-    while g:
-        g >>= 1
-        k ^= g
-    return k
-
-
-def _int_to_bits(value: int, width: int) -> list[int]:
-    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
-
-
 @dataclass(frozen=True, eq=False)
 class OffsetQamConstellation:
     """Immutable offset-QAM symbol grid with Gray bit map and thresholds.
@@ -99,11 +83,11 @@ def build_constellation(order: int, a_oma: float, a0: float) -> OffsetQamConstel
     kq = np.tile(np.arange(m), m)
     points = np.column_stack((levels[ki] + a0, levels[kq] + a0))
 
+    # Reflected-Gray word of level k, k ^ (k >> 1), most significant bit first.
     nb = int(round(math.log2(m)))
-    bit_map = np.empty((order, 2 * nb), dtype=np.uint8)
-    for p in range(order):
-        bit_map[p, :nb] = _int_to_bits(_gray(int(ki[p])), nb)
-        bit_map[p, nb:] = _int_to_bits(_gray(int(kq[p])), nb)
+    gray = np.arange(m) ^ (np.arange(m) >> 1)
+    level_bits = ((gray[:, None] >> np.arange(nb - 1, -1, -1)) & 1).astype(np.uint8)
+    bit_map = np.hstack((level_bits[ki], level_bits[kq]))
 
     thresholds = (levels[1:] + levels[:-1]) / 2 + a0
 
@@ -145,11 +129,10 @@ def map_bits(c: OffsetQamConstellation, bits) -> tuple[float, float]:
         raise ValueError(
             f"expected {2 * nb} bits for order {c.order}, got shape {bits.shape}"
         )
-    gi = int("".join(str(int(b)) for b in bits[:nb]), 2)
-    gq = int("".join(str(int(b)) for b in bits[nb:]), 2)
-    ki = _gray_to_index(gi)
-    kq = _gray_to_index(gq)
-    point = c.points[ki * c.side + kq]
+    match = np.flatnonzero((c.bit_map == bits).all(axis=1))
+    if not match.size:
+        raise ValueError(f"bits must be 0 or 1, got {bits.tolist()}")
+    point = c.points[match[0]]
     return float(point[0]), float(point[1])
 
 

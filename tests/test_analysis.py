@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oqamcpr import analysis
 from oqamcpr.analysis import (
     DEFAULT_LOOP,
     BodeMetrics,
@@ -187,6 +188,18 @@ class TestBandwidthScaling:
     def test_unreachable_target_raises(self):
         with pytest.raises(ConvergenceError, match="bandwidth"):
             scale_to_closed_loop_bandwidth(DEFAULT_LOOP, 1e30)
+
+    @pytest.mark.parametrize("target", [216e3, 1e6, 1e7, 1e8])
+    def test_each_gain_evaluated_once(self, monkeypatch, target):
+        gains = []
+
+        def counting(params, **kwargs):
+            gains.append(params.k_lf_v_per_v)
+            return bode_metrics(params, **kwargs)
+
+        monkeypatch.setattr(analysis, "bode_metrics", counting)
+        scale_to_closed_loop_bandwidth(DEFAULT_LOOP, target)
+        assert len(gains) == len(set(gains))
 
 
 class TestReferenceComparison:

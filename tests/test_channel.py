@@ -123,9 +123,20 @@ class TestBeatPhase:
 
         d = beat.delay_samples
         assert d == delay_in_samples(mm.tau_s, dt)
-        inc = stream_rng(4, 0x10C).normal(0.0, math.sqrt(2 * math.pi * lw * dt), theta.size)
-        phi = np.concatenate((np.zeros(d), np.cumsum(inc)))
+        # the d increments before the start come first on the stream
+        inc = stream_rng(4, 0x10C).normal(0.0, math.sqrt(2 * math.pi * lw * dt), d + theta.size)
+        phi = np.cumsum(inc)
         assert np.max(np.abs(theta - (phi[d:] - phi[:-d]))) < 1e-12
+
+    def test_first_sample_is_stationary(self):
+        lw, dt = 1e6, 5e-12
+        mm = PathMismatch(1.0)
+        first = [
+            BeatNoise(LaserModel(lw), mm, dt, stream_rng(seed, 0x10C)).draw(1)[0]
+            for seed in range(400)
+        ]
+        expected = 2 * math.pi * lw * mm.tau_s
+        assert np.var(first) == pytest.approx(expected, rel=0.3)
 
     def test_coarse_non_divisor_dt_rejected(self):
         with pytest.raises(ValueError, match="tau"):

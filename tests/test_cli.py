@@ -209,6 +209,22 @@ class TestCliCommands:
         assert "laser.linewidth_hz" in err
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "run",
+        [{"mode": "lock", "duration_s": 1e6}, {"mode": "trace", "num_symbols": 10**14}],
+        ids=["lock", "trace"],
+    )
+    def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys, run):
+        # 1e14 eight-byte elements (728 TiB) exceed the address space: the
+        # allocation fails at once, without touching memory.
+        cfg = {"modulation": {"order": 4}, "run": run}
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: out of memory:") and "Traceback" not in err
+        assert list(outdir.iterdir()) == []
+
     def test_trace_mismatch_finer_than_sample_step_exit_2(self, tmp_path, capsys):
         cfg = {
             "modulation": {"order": 4},

@@ -100,6 +100,16 @@ def test_gray_adjacency_per_axis(order):
                 assert (di, dq) == (0, 1)
 
 
+@pytest.mark.parametrize("order", ORDERS)
+def test_bit_map_is_msb_first_reflected_gray(order):
+    c = build_constellation(order, 1.0, 0.0)
+    nb = c.bits_per_symbol // 2
+    assert c.bit_map.dtype == np.uint8
+    for p, (ki, kq) in enumerate(c.level_indices.tolist()):
+        word = f"{ki ^ (ki >> 1):0{nb}b}{kq ^ (kq >> 1):0{nb}b}"
+        assert "".join(map(str, c.bit_map[p])) == word
+
+
 def test_canonical_gray_map_all_zero_bits():
     c = build_constellation(4, 1.0, 0.1)
     assert map_bits(c, (0, 0)) == pytest.approx((-0.4, -0.4))
@@ -109,6 +119,12 @@ def test_map_bits_wrong_length():
     c = build_constellation(4, 1.0, 0.1)
     with pytest.raises(ValueError, match="bits"):
         map_bits(c, (0, 1, 0))
+
+
+def test_map_bits_non_binary():
+    c = build_constellation(16, 1.0, 0.1)
+    with pytest.raises(ValueError, match="0 or 1"):
+        map_bits(c, (0, 2, 0, 1))
 
 
 def test_demap_threshold_region():
