@@ -16,6 +16,8 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import DEFAULT_LOOP, BodeMetrics, LoopParams, scale_to_closed_loop_bandwidth
 from .channel import DEFAULT_REFRACTIVE_INDEX, ChannelScenario, LaserModel, PathMismatch
 from .constellation import SUPPORTED_ORDERS, OffsetQamConstellation, build_constellation
@@ -44,15 +46,17 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _is_grid(g) -> bool:
+def _grid_size(g) -> int:
+    """Point count of an Es/N0 grid, a list or {start, stop, step}; 0 if malformed."""
     if isinstance(g, list):
-        return len(g) >= 2 and all(map(_is_number, g)) and all(a < b for a, b in zip(g, g[1:]))
+        increasing = all(map(_is_number, g)) and all(a < b for a, b in zip(g, g[1:]))
+        return len(g) if increasing else 0
     if not isinstance(g, dict) or set(g) != {"start", "stop", "step"}:
-        return False
+        return 0
     if not all(map(_is_number, g.values())) or g["step"] <= 0:
-        return False
-    span = (g["stop"] - g["start"]) / g["step"]  # >= 2 points, as in ScenarioConfig.snr_grid_db
-    return math.isfinite(span) and span + 1e-9 >= 1
+        return 0
+    span = (float(g["stop"]) - g["start"]) / g["step"]  # float: huge ints would overflow
+    return math.floor(span + 1e-9) + 1 if math.isfinite(span) else 0
 
 
 def _one_of(choices):
@@ -70,7 +74,7 @@ LABEL = ("a string with no '/' or '\\' that is not '.' or '..', or null",
          lambda v: v is None or (isinstance(v, str) and not {"/", "\\"} & set(v)
                                  and v not in (".", "..")))
 GRID = ("a strictly increasing list of >= 2 finite numbers, or "
-        "{start, stop, step} with step > 0 spanning >= 2 points", _is_grid)
+        "{start, stop, step} with step > 0 spanning >= 2 points", lambda g: _grid_size(g) >= 2)
 SWEEP = (f"{{'key': <one of {sorted(_SWEEPABLE)}>, 'values': [<one or more values>]}}",
          lambda v: isinstance(v, dict) and set(v) == {"key", "values"} and v["key"] in _SWEEPABLE
          and isinstance(v["values"], list) and len(v["values"]) > 0)
@@ -180,6 +184,8 @@ def _resolve(data: dict, raw: str | None) -> dict:
         _fail(raw, "snr_db", "give snr_db or n0, not both")
     if cfg["run"]["mode"] == "lock" and mod["a0"] == 0:
         _fail(raw, source, "lock mode needs a0 = m_ratio * a_oma > 0")
+    if cfg["run"]["mode"] == "ber-sweep" and "snr_grid_db" not in cfg["run"]:
+        _fail(raw, "snr_grid_db", "run.snr_grid_db is required for ber-sweep mode")
     return cfg
 
 
@@ -289,12 +295,8 @@ class ScenarioConfig:
             pd_bandwidth_hz=chan.get("pd_bandwidth_hz"),
         )
 
-    def snr_grid_db(self) -> list[float]:
-        grid = self.data["run"].get("snr_grid_db")
-        if grid is None:
-            raise ConfigError("run.snr_grid_db is required for ber-sweep mode")
+    def snr_grid_db(self) -> np.ndarray:
+        grid = self.data["run"]["snr_grid_db"]
         if isinstance(grid, dict):
-            start, stop, step = grid["start"], grid["stop"], grid["step"]
-            n = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return [start + i * step for i in range(n)]
-        return list(grid)
+            return grid["start"] + grid["step"] * np.arange(_grid_size(grid), dtype=float)
+        return np.array(grid, dtype=float)

@@ -74,6 +74,8 @@ def default_integration_band(
     if tau_s > 0:
         f_max = max(f_max, 10.0 / (2.0 * math.pi * tau_s))
     f_max = max(f_max, 1e6 * f_min)
+    if not f_max <= 1e308:  # 10 / (2 pi tau) overflows for a subnormal tau
+        raise ValueError(f"delay {tau_s:.3g} s of mismatch.delta_l_m is too short to integrate")
     f_max = 10.0 ** math.ceil(math.log10(f_max))
     return f_min, f_max
 
@@ -84,51 +86,39 @@ GRID_POINTS_PER_DECADE = 200
 GRID_REL_TOL = 0.01
 
 
-def _grid_integral(
-    linewidth_hz: float, tau_s: float, params: LoopParams | None, band, points_per_decade: int
-) -> float:
-    f = log_frequency_grid(*band, points_per_decade)
-    s = shaped_psd(f, linewidth_hz, tau_s, params)
-    return 2.0 * float(np.trapezoid(s, f))
-
-
-def _tail_closure(linewidth_hz: float, f_max: float) -> float:
-    # Above f_max the (1 - cos) factor averages to 1 and |1+H| ~ 1, so the
-    # remaining folded power is 2 * int 2S(f) df = 2*linewidth/(pi*f_max).
-    return 2.0 * linewidth_hz / (math.pi * f_max)
-
-
 def total_variance(linewidth_hz: float, tau_s: float, params: LoopParams | None) -> float:
-    """Integrated beat-phase variance sigma^2 in rad^2.
-
-    Trapezoidal rule on a log grid over ``default_integration_band``
-    (factor 2 folds the symmetric negative-frequency half) plus an analytic
-    closure for the 1/f^2 tail above the upper limit.  The grid is doubled
-    once and the result must agree within GRID_REL_TOL, else a
-    ConvergenceError reports both estimates.
-    """
+    """Integrated beat-phase variance sigma^2 in rad^2, as ``shaped_spectrum`` computes it."""
     if tau_s < 0 or linewidth_hz < 0:
         raise ValueError("linewidth_hz and tau_s must be >= 0")
     if tau_s == 0 or linewidth_hz == 0:
         return 0.0
-    band = default_integration_band(tau_s, params)
-    coarse = _grid_integral(linewidth_hz, tau_s, params, band, GRID_POINTS_PER_DECADE)
-    fine = _grid_integral(linewidth_hz, tau_s, params, band, 2 * GRID_POINTS_PER_DECADE)
-    tail = _tail_closure(linewidth_hz, band[1])
-    if abs(fine - coarse) > GRID_REL_TOL * abs(fine):
-        raise ConvergenceError(
-            "phase-noise variance integral did not converge under grid "
-            f"doubling: {coarse + tail:.6g} vs {fine + tail:.6g} rad^2"
-        )
-    return fine + tail
+    return shaped_spectrum(linewidth_hz, tau_s, params).variance_rad2
 
 
 def shaped_spectrum(
     linewidth_hz: float, tau_s: float, params: LoopParams | None
 ) -> ShapedPhaseNoise:
-    """PSD curve on the default band together with the total variance."""
+    """PSD curve on the default band together with the total variance.
+
+    The variance integrates the curve by the trapezoidal rule (factor 2 folds
+    the negative frequencies) and closes the 1/f^2 tail above the band
+    analytically.  The doubled grid must agree within GRID_REL_TOL, else a
+    ConvergenceError reports both estimates.  Without beat noise it is 0.0.
+    """
     band = default_integration_band(tau_s if tau_s > 0 else 1e-9, params)
     f = log_frequency_grid(*band, GRID_POINTS_PER_DECADE)
-    psd = np.asarray(shaped_psd(f, linewidth_hz, tau_s, params))
-    var = total_variance(linewidth_hz, tau_s, params)
-    return ShapedPhaseNoise(freqs_hz=f, psd_rad2_per_hz=psd, variance_rad2=var)
+    psd = shaped_psd(f, linewidth_hz, tau_s, params)
+    if tau_s <= 0 or linewidth_hz <= 0:  # total_variance rejects negatives, else gives 0.0
+        return ShapedPhaseNoise(f, psd, total_variance(linewidth_hz, tau_s, params))
+    coarse = 2.0 * float(np.trapezoid(psd, f))
+    f_fine = log_frequency_grid(*band, 2 * GRID_POINTS_PER_DECADE)
+    fine = 2.0 * float(np.trapezoid(shaped_psd(f_fine, linewidth_hz, tau_s, params), f_fine))
+    # Above f_max the (1 - cos) factor averages to 1 and |1+H| ~ 1, so the
+    # remaining folded power is 2 * int 2S(f) df = 2*linewidth/(pi*f_max).
+    tail = 2.0 * linewidth_hz / (math.pi * band[1])
+    if abs(fine - coarse) > GRID_REL_TOL * abs(fine):
+        raise ConvergenceError(
+            "phase-noise variance integral did not converge under grid "
+            f"doubling: {coarse + tail:.6g} vs {fine + tail:.6g} rad^2"
+        )
+    return ShapedPhaseNoise(freqs_hz=f, psd_rad2_per_hz=psd, variance_rad2=fine + tail)

@@ -53,6 +53,7 @@ BAD_INPUTS = [
             ("negative-step", {"start": 8, "stop": 4, "step": -1}),
             ("one-point", {"start": 4, "stop": 4.5, "step": 1}),
             ("infinity", [4, float("inf")]),
+            ("span-beyond-float", {"start": -10**308, "stop": 10**308, "step": 1}),
         ]
     ),
     *(
@@ -84,6 +85,11 @@ BAD_INPUTS = [
     pytest.param({"run": {"duration_s": 1e-9}}, "duration_s", id="lock-duration-short"),
     pytest.param({"laser": {"linewidth_hz": 1e6}, "mismatch": {"delta_l_m": 1e-4}},
                  "delta_l_m", id="lock-mismatch-below-sample-step"),
+    # n0 = Es / 10 ** (snr_db / 10) overflows, or divides by zero, outside the float range.
+    *(
+        pytest.param({"channel": {"snr_db": snr_db}}, "snr_db", id=f"lock-snr_db-{snr_db:g}")
+        for snr_db in (1e300, -1e300, -3200)
+    ),
     # A label names the output files, so it may not lead out of the output directory.
     *(
         pytest.param({"run": {"label": label}}, "label", id=f"label-{tag}")
@@ -141,6 +147,12 @@ class TestConfig:
             "run": {"mode": "trace"},
         }
         with pytest.raises(ConfigError, match="disagree"):
+            validate_config(cfg)
+
+    def test_ber_sweep_requires_a_grid(self):
+        cfg = json.loads(json.dumps(BER_CFG))
+        del cfg["run"]["snr_grid_db"]
+        with pytest.raises(ConfigError, match="snr_grid_db"):
             validate_config(cfg)
 
     def test_snr_grid_expansion(self):
@@ -211,8 +223,12 @@ class TestCliCommands:
 
     @pytest.mark.parametrize(
         "run",
-        [{"mode": "lock", "duration_s": 1e6}, {"mode": "trace", "num_symbols": 10**14}],
-        ids=["lock", "trace"],
+        [
+            {"mode": "lock", "duration_s": 1e6},
+            {"mode": "trace", "num_symbols": 10**14},
+            {"mode": "ber-sweep", "snr_grid_db": {"start": 0, "stop": 1e14, "step": 1}},
+        ],
+        ids=["lock", "trace", "ber-sweep"],
     )
     def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys, run):
         # 1e14 eight-byte elements (728 TiB) exceed the address space: the
@@ -236,6 +252,31 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 2
         assert "delta_l_m" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("snr_db", [1e300, -1e300, -3200])
+    def test_trace_snr_db_beyond_float_range_exit_2(self, tmp_path, capsys, snr_db):
+        cfg = {"modulation": {"order": 4}, "channel": {"snr_db": snr_db},
+               "run": {"mode": "trace", "num_symbols": 20}}
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "snr_db" in err and "Traceback" not in err
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("delta_l_m", [1e-300, 1e-310])
+    @pytest.mark.parametrize("mode", ["psd", "ber-sweep"])
+    def test_mismatch_too_short_to_integrate_exit_2(self, tmp_path, capsys, mode, delta_l_m):
+        # The band edge 10 / (2 pi tau) of a subnormal delay is not a float.
+        cfg = {"modulation": {"order": 4}, "laser": {"linewidth_hz": 1e6},
+               "mismatch": {"delta_l_m": delta_l_m},
+               "run": {"mode": mode, "snr_grid_db": [10, 12]}}
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "delta_l_m" in err and "Traceback" not in err
+        assert list(outdir.iterdir()) == []
 
     def test_presets_listing(self, capsys):
         rc = main(["presets"])

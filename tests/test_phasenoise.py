@@ -6,7 +6,7 @@ import pytest
 from scipy.signal import bilinear, lfilter
 
 from oqamcpr import phasenoise
-from oqamcpr.analysis import DEFAULT_LOOP, bode_metrics
+from oqamcpr.analysis import DEFAULT_LOOP, bode_metrics, log_frequency_grid
 from oqamcpr.channel import PathMismatch
 from oqamcpr.errors import ConvergenceError
 from oqamcpr.phasenoise import (
@@ -137,11 +137,30 @@ class TestShapedSpectrum:
 
     def test_spectrum_carries_variance_and_provenance(self):
         spec = shaped_spectrum(1e6, TAU_10CM, DEFAULT_LOOP)
-        assert spec.variance_rad2 == pytest.approx(
-            total_variance(1e6, TAU_10CM, DEFAULT_LOOP), rel=1e-9
-        )
+        assert spec.variance_rad2 == total_variance(1e6, TAU_10CM, DEFAULT_LOOP)
         assert np.all(spec.psd_rad2_per_hz >= 0)
         assert spec.freqs_hz[0] < spec.freqs_hz[-1]
+        band = default_integration_band(TAU_10CM, DEFAULT_LOOP)
+        grid = log_frequency_grid(*band, phasenoise.GRID_POINTS_PER_DECADE)
+        assert np.array_equal(spec.freqs_hz, grid)
+
+    def test_spectrum_builds_the_band_once(self, monkeypatch):
+        calls = []
+
+        def counting(params, **kwargs):
+            calls.append(params)
+            return bode_metrics(params, **kwargs)
+
+        monkeypatch.setattr(phasenoise, "bode_metrics", counting)
+        shaped_spectrum(1e6, TAU_10CM, DEFAULT_LOOP)
+        assert len(calls) == 1
+
+    def test_negative_inputs_rejected(self):
+        for lw, tau in ((-1.0, TAU_10CM), (1e6, -TAU_10CM), (0.0, -TAU_10CM)):
+            with pytest.raises(ValueError, match=">= 0"):
+                shaped_spectrum(lw, tau, DEFAULT_LOOP)
+            with pytest.raises(ValueError, match=">= 0"):
+                total_variance(lw, tau, DEFAULT_LOOP)
 
     def test_zero_mismatch_spectrum_is_empty_of_power(self):
         spec = shaped_spectrum(1e6, 0.0, DEFAULT_LOOP)
