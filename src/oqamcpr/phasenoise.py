@@ -74,7 +74,7 @@ def default_integration_band(
     if tau_s > 0:
         f_max = max(f_max, 10.0 / (2.0 * math.pi * tau_s))
     f_max = max(f_max, 1e6 * f_min)
-    if not f_max <= 1e308:  # 10 / (2 pi tau) overflows for a subnormal tau
+    if not f_max <= 1e153:  # laser_psd's 2 pi f^2 overflows at the next decade, 1e154
         raise ValueError(f"delay {tau_s:.3g} s of mismatch.delta_l_m is too short to integrate")
     f_max = 10.0 ** math.ceil(math.log10(f_max))
     return f_min, f_max

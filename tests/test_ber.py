@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,12 +198,12 @@ class TestSemiAnalytic:
         assert semi_analytic_ser(c, env) == pytest.approx(direct, rel=1e-12)
 
     def test_quadrature_nonconvergence_names_both_estimates(self, monkeypatch):
-        # Two nodes over +/- 8 sigma miss the phase pdf's peak: the doubled
-        # order gives about twice the SER, so the agreement check fires.
+        # Two Gauss nodes over +/- 8 sigma miss the phase pdf's peak: the
+        # 5-node Kronrod sum is about 0.7 of the Gauss sum, so the check fires.
         monkeypatch.setattr(ber_module, "QUAD_ORDER", 2)
         c = build_constellation(16, 1.0, 0.1)
         env = NoiseEnvironment(n0_from_snr_db(c, 20.0), 0.1)
-        with pytest.raises(ConvergenceError, match=r"converge: 0\.0001\d* vs 0\.0002\d*$"):
+        with pytest.raises(ConvergenceError, match=r"converge: 0\.000103464 vs 7\.38595e-05$"):
             semi_analytic_ser(c, env)
 
     def test_large_sigma_warns(self):
@@ -208,6 +213,47 @@ class TestSemiAnalytic:
 
 
 class TestQuadNodes:
+    @pytest.mark.parametrize("order", [2, 5, ber_module.QUAD_ORDER])
+    def test_kronrod_rule_embeds_gauss_and_is_exact_to_degree_3n_plus_1(self, order):
+        x, w, w_gauss = ber_module._quad_nodes(order)
+        assert x.size == w.size == 2 * order + 1 and w_gauss.size == order
+        assert np.array_equal(x, -x[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        x_gauss, w_legendre = roots_legendre(order)
+        assert np.all(np.abs(x[1::2] - x_gauss) <= 4 * np.spacing(1.0))
+        assert np.array_equal(w_gauss, w_legendre)
+        # Chebyshev T_d integrates to 2 / (1 - d^2) for even d, 0 for odd d.
+        for d in range(3 * order + 2):
+            t_d = np.polynomial.chebyshev.chebval(x, [0] * d + [1])
+            exact = 0.0 if d % 2 else 2.0 / (1 - d * d)
+            assert abs(w @ t_d - exact) < 1e-13, d
+
+    def test_first_build_is_cheap(self):
+        def build():
+            ber_module._quad_nodes.cache_clear()
+            start = time.perf_counter()
+            ber_module._quad_nodes(ber_module.QUAD_ORDER)
+            return time.perf_counter() - start
+
+        assert min(build() for _ in range(3)) < 0.1
+
+    def test_not_built_at_import_or_validation(self):
+        # The rule is built on first use, so set-up never pays for it.
+        code = (
+            "import oqamcpr\n"
+            "from oqamcpr import ber\n"
+            "from oqamcpr.config import validate_config\n"
+            "from oqamcpr.presets import PRESETS, preset_config\n"
+            "for name in PRESETS:\n"
+            "    validate_config(preset_config(name))\n"
+            "print(ber._quad_nodes.cache_info().currsize)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(ber_module.__file__).parents[1])},
+        )
+        assert out.stdout.strip() == "0"
+
     def test_nodes_built_once_per_order(self, monkeypatch):
         built = []
 
@@ -220,10 +266,8 @@ class TestQuadNodes:
         c = build_constellation(16, 1.0, 0.1)
         snr_sweep(c, 0.05, np.arange(14.0, 20.0, 0.5))
         required_snr_db(c, 0.05)
-        order = ber_module.QUAD_ORDER
-        assert sorted(built) == [order, 2 * order + 1]
-        x, w = ber_module._quad_nodes(order)
-        for arr in (x, w):
+        assert built == [ber_module.QUAD_ORDER]
+        for arr in ber_module._quad_nodes(ber_module.QUAD_ORDER):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
@@ -286,11 +330,13 @@ KERNEL_SIGMAS = (0.0, 0.02, 0.1)
 
 
 class TestTransposedKernels:
-    @pytest.mark.parametrize("order", [ber_module.QUAD_ORDER, 2 * ber_module.QUAD_ORDER + 1])
-    def test_quadrature_nodes_are_symmetric(self, order):
-        # The kernels read the Q axis off the I axis at the mirrored node.
-        x, _ = ber_module._quad_nodes(order)
-        assert np.array_equal(x, -x[::-1])
+    @pytest.mark.parametrize("size", [ber_module.QUAD_ORDER, 2 * ber_module.QUAD_ORDER + 1])
+    def test_quadrature_nodes_are_symmetric(self, size):
+        # The kernels read the Q axis off the I axis at the mirrored node;
+        # size picks the Kronrod nodes or the embedded Gauss nodes.
+        kronrod = ber_module._quad_nodes(ber_module.QUAD_ORDER)[0]
+        x = kronrod if size == kronrod.size else kronrod[1::2]
+        assert x.size == size and np.array_equal(x, -x[::-1])
         for half_width in (8 * 0.02, 8 * 0.0555, 8 * 0.1, math.pi):
             theta = x * half_width
             assert np.array_equal(theta[::-1], -theta)
@@ -303,10 +349,8 @@ class TestTransposedKernels:
         c = build_constellation(order, 1.0, 0.3)
         n0 = n0_from_snr_db(c, 15.0)
         column = np.array([n0_from_snr_db(c, snr) for snr in (8.0, 15.0, 30.0)])[:, None]
-        orders = (ber_module.QUAD_ORDER, 2 * ber_module.QUAD_ORDER + 1)
-        nodes = [ber_module._quad_nodes(k)[0] for k in orders]
-        thetas = [x * 8.0 * sigma for x in nodes] if sigma else [np.zeros(1)]
-        for theta in thetas:
+        x = ber_module._quad_nodes(ber_module.QUAD_ORDER)[0]
+        for theta in [x * 8.0 * sigma] if sigma else [np.zeros(1)]:
             for noise in (0.0, n0):
                 for got, want in zip(
                     ber_module._symbol_errors(c, theta, noise),
@@ -374,6 +418,22 @@ class TestBerFromSer:
             ber_from_ser(1.5, 4)
 
 
+MC_PINNED = {
+    (4, 0.0, 3): (0.0059, 0.0118, 0.00047503730497025634),
+    (4, 0.0, 4): (0.00595, 0.0119, 0.0004770306741387429),
+    (4, 0.05, 3): (0.00644, 0.01286, 0.0004961318023645826),
+    (4, 0.05, 4): (0.00645, 0.01284, 0.0004965137766746014),
+    (16, 0.0, 3): (0.009595, 0.03796, 0.0004273299675485344),
+    (16, 0.0, 4): (0.009085, 0.0361, 0.00041593092513106123),
+    (16, 0.05, 3): (0.011315, 0.045, 0.00046363284001047395),
+    (16, 0.05, 4): (0.011495, 0.04554, 0.0004672619524298799),
+    (64, 0.0, 3): (0.008693333333333334, 0.05138, 0.00033224597650184515),
+    (64, 0.0, 4): (0.008323333333333334, 0.04926, 0.00032516200655389197),
+    (64, 0.05, 3): (0.015733333333333332, 0.09186, 0.0004453418893104913),
+    (64, 0.05, 4): (0.015733333333333332, 0.09198, 0.0004453418893104913),
+}
+
+
 class TestMonteCarlo:
     def test_noiseless_is_error_free(self):
         c = build_constellation(16, 1.0, 0.1)
@@ -412,6 +472,17 @@ class TestMonteCarlo:
         a = monte_carlo_ber(c, env, 50_000, seed=11)
         b = monte_carlo_ber(c, env, 50_000, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_draws_and_counts_pinned(self, monkeypatch, order, sigma):
+        # (ber, ser, halfwidth) over three chunks, as the oracle gave them
+        # before its rotation, noise and flips were computed in place.
+        monkeypatch.setattr(ber_module, "MC_CHUNK_SYMBOLS", 20_000)
+        c = build_constellation(order, 1.0, 0.1)
+        env = NoiseEnvironment(n0_from_snr_db(c, {4: 8.0, 16: 14.0, 64: 20.0}[order]), sigma)
+        for seed in (3, 4):
+            assert monte_carlo_ber(c, env, 50_000, seed) == MC_PINNED[order, sigma, seed]
 
     def test_minimum_size_enforced(self):
         c = build_constellation(4, 1.0, 0.1)
@@ -468,7 +539,7 @@ class TestSweep:
         monkeypatch.setattr(ber_module, "QUAD_ORDER", 2)
         c = build_constellation(16, 1.0, 0.1)
         with pytest.raises(
-            ConvergenceError, match=r"converge: 0\.0001\d* vs 0\.0002\d* at Es/N0 20 dB$"
+            ConvergenceError, match=r"converge: 0\.000103464 vs 7\.38595e-05 at Es/N0 20 dB$"
         ):
             snr_sweep(c, 0.1, [20.0, 22.0])
 

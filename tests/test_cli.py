@@ -90,6 +90,14 @@ BAD_INPUTS = [
         pytest.param({"channel": {"snr_db": snr_db}}, "snr_db", id=f"lock-snr_db-{snr_db:g}")
         for snr_db in (1e300, -1e300, -3200)
     ),
+    # The band edge 10 / (2 pi tau) is a float, but laser_psd's 2 pi f^2 there is not.
+    *(
+        pytest.param({"laser": {"linewidth_hz": 1e6}, "mismatch": {"delta_l_m": delta_l_m},
+                      "run": {"mode": mode, "snr_grid_db": [10, 12]}},
+                     "delta_l_m", id=f"{mode}-mismatch-{delta_l_m:g}")
+        for mode in ("psd", "ber-sweep")
+        for delta_l_m in (1e-200, 1e-290)
+    ),
     # A label names the output files, so it may not lead out of the output directory.
     *(
         pytest.param({"run": {"label": label}}, "label", id=f"label-{tag}")
@@ -264,10 +272,11 @@ class TestCliCommands:
         assert "snr_db" in err and "Traceback" not in err
         assert list(outdir.iterdir()) == []
 
-    @pytest.mark.parametrize("delta_l_m", [1e-300, 1e-310])
+    @pytest.mark.parametrize("delta_l_m", [1e-200, 1e-290, 1e-300, 1e-310])
     @pytest.mark.parametrize("mode", ["psd", "ber-sweep"])
     def test_mismatch_too_short_to_integrate_exit_2(self, tmp_path, capsys, mode, delta_l_m):
-        # The band edge 10 / (2 pi tau) of a subnormal delay is not a float.
+        # The band edge 10 / (2 pi tau) of a subnormal delay is not a float; for
+        # 1e-200 and 1e-290 it is, but laser_psd's 2 pi f^2 there overflows.
         cfg = {"modulation": {"order": 4}, "laser": {"linewidth_hz": 1e6},
                "mismatch": {"delta_l_m": delta_l_m},
                "run": {"mode": mode, "snr_grid_db": [10, 12]}}
