@@ -476,8 +476,8 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_draws_and_counts_pinned(self, monkeypatch, order, sigma):
-        # (ber, ser, halfwidth) over three chunks, as the oracle gave them
-        # before its rotation, noise and flips were computed in place.
+        # (ber, ser, halfwidth) over three batches, each ending in a partial
+        # block, equal to what the oracle gave when it decided whole batches.
         monkeypatch.setattr(ber_module, "MC_CHUNK_SYMBOLS", 20_000)
         c = build_constellation(order, 1.0, 0.1)
         env = NoiseEnvironment(n0_from_snr_db(c, {4: 8.0, 16: 14.0, 64: 20.0}[order]), sigma)
