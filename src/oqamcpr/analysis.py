@@ -40,6 +40,8 @@ class LoopParams:
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ValueError(f"{f.name} must be > 0")
+        if not math.isfinite(self.dc_gain):
+            raise ValueError(f"the loop gains' product dc_gain = {self.dc_gain:g} is not finite")
 
     @property
     def dc_gain(self) -> float:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc, roots_legendre
 
-from .channel import stream_rng
+from .channel import add_awgn, rotate_symbol, stream_rng
 from .constellation import OffsetQamConstellation, decide_levels, n0_from_snr_db
 from .errors import ConvergenceError
 
@@ -307,9 +307,8 @@ def ber_from_ser(ser: float, order: int) -> float:
     return ser / math.log2(order)
 
 
-# Symbols drawn per batch, which bounds the oracle's memory, and symbols
-# rotated and decided per block of a batch, which keeps that work in cache.
-MC_CHUNK_SYMBOLS = 1_000_000
+# Symbols drawn, rotated and decided per block of the Monte Carlo oracle,
+# which keeps its memory small and its work in cache.
 MC_BLOCK_SYMBOLS = 1 << 14
 # Float64 elements of one (SNR points x symbols x nodes) array of a batched
 # sweep: 512 KiB, so a slice's arrays stay in a core's 2 MiB L2 cache (the
@@ -317,46 +316,26 @@ MC_BLOCK_SYMBOLS = 1 << 14
 SWEEP_CHUNK_ELEMENTS = 1 << 16
 
 
-def _bit_flips(c: OffsetQamConstellation, env: NoiseEnvironment, num_symbols: int, seed: int):
-    """Gray bit flips of each random symbol, one block at a time.
-
-    Each batch draws its symbols, phases, I noise and Q noise in that order;
-    the rotation, the noise and the flips are then applied in place per block.
-    """
-    rng = stream_rng(seed, 0xBE7)
-    ham = _hamming_table(c)
-    noise_sigma = math.sqrt(env.n0 / 2.0)
-    for start in range(0, num_symbols, MC_CHUNK_SYMBOLS):
-        n = min(MC_CHUNK_SYMBOLS, num_symbols - start)
-        idx = rng.integers(0, c.order, n)
-        theta = rng.normal(0.0, env.sigma_pn_rad, n) if env.sigma_pn_rad > 0 else None
-        noise = [rng.normal(0.0, noise_sigma, n) for _ in "IQ"] if noise_sigma > 0 else None
-        for b in (slice(i, i + MC_BLOCK_SYMBOLS) for i in range(0, n, MC_BLOCK_SYMBOLS)):
-            px, py = c.points[idx[b], 0], c.points[idx[b], 1]
-            ci, si = (1.0, 0.0) if theta is None else (np.cos(theta[b]), np.sin(theta[b]))
-            x = px * ci
-            x += py * si
-            y = py * ci
-            y -= px * si
-            if noise is not None:
-                x += noise[0][b]
-                y += noise[1][b]
-            flips = ham[c.level_indices[idx[b], 0], decide_levels(c, x)]
-            flips += ham[c.level_indices[idx[b], 1], decide_levels(c, y)]
-            yield flips
-
-
 def monte_carlo_ber(c: OffsetQamConstellation, env: NoiseEnvironment, num_symbols: int, seed: int):
     """Monte Carlo oracle: draws, rotates, adds noise, and hard-decides.
 
     Per-symbol residual phases are N(0, sigma^2); noise is n0/2 per axis.
+    Each block of MC_BLOCK_SYMBOLS draws from one stream its symbols, then
+    its phases (sigma > 0), then its I and Q noise, and counts Gray bit flips.
     Returns (ber, ser, ber_halfwidth) where the half-width is the 95%
     Wilson interval on the bit error rate.  Deterministic per seed.
     """
     if num_symbols < 10_000:
         raise ValueError("num_symbols must be >= 1e4 for a meaningful estimate")
+    rng = stream_rng(seed, 0xBE7)
+    ham = _hamming_table(c)
     sym_errors = bit_errors = 0
-    for flips in _bit_flips(c, env, num_symbols, seed):
+    for start in range(0, num_symbols, MC_BLOCK_SYMBOLS):
+        idx = rng.integers(0, c.order, min(MC_BLOCK_SYMBOLS, num_symbols - start))
+        ki, kq = c.level_indices[idx, 0], c.level_indices[idx, 1]
+        theta = rng.normal(0.0, env.sigma_pn_rad, idx.size) if env.sigma_pn_rad > 0 else 0.0
+        x, y = add_awgn(rotate_symbol(c.levels[ki], c.levels[kq], c.a0, theta), env.n0, rng)
+        flips = ham[ki, decide_levels(c, x)] + ham[kq, decide_levels(c, y)]
         bit_errors += int(flips.sum())
         sym_errors += int(np.count_nonzero(flips))
 

@@ -2,7 +2,8 @@
 
 No plotting library: axes, ticks, and polylines are written directly so
 the same inputs always produce byte-identical files (no timestamps, no
-renderer versions).  Log axes drop non-positive samples.
+renderer versions).  Samples that are not finite are dropped, and so are
+non-positive ones on log axes.
 """
 
 from __future__ import annotations
@@ -54,11 +55,13 @@ def _fmt_tick(value: float) -> str:
 
 
 class _Axis:
-    def __init__(self, lo: float, hi: float, log: bool, pix_lo: float, pix_hi: float):
+    def __init__(self, name: str, lo: float, hi: float, log: bool, pix_lo: float, pix_hi: float):
         if log:
             lo10, hi10 = math.log10(lo), math.log10(hi)
         else:
             lo10, hi10 = lo, hi
+        if not math.isfinite(hi10 - lo10):
+            raise ValueError(f"the {name} axis span {lo:g} to {hi:g} is not finite")
         if hi10 - lo10 < 1e-12:
             lo10 -= 0.5
             hi10 += 0.5
@@ -129,8 +132,9 @@ def emit_svg(series, plot_spec: dict, out_path: str | Path) -> Path:
     name), y (column name or list), optional logx/logy (bool), threshold
     (float, horizontal line; kp4_line: true is shorthand for the KP4
     error floor), title/xlabel/ylabel, labels (per-curve names in place
-    of the series labels).  A bad spec raises ConfigError, and data with
-    no plottable point ValueError, before any file is written.
+    of the series labels).  Samples that are not finite are dropped.  A bad
+    spec raises ConfigError, and data with no plottable point or an axis
+    span that is not finite ValueError, before any file is written.
     """
     x_col, *y_cols = _check_spec(plot_spec)
     logx = bool(plot_spec.get("logx", False))
@@ -151,12 +155,10 @@ def emit_svg(series, plot_spec: dict, out_path: str | Path) -> Path:
                 label = name
             xs, ys = [], []
             for x, y in zip(map(float, cols[x_col]), map(float, cols[y_col])):
-                if logx and x <= 0:
-                    continue
-                if logy and y <= 0:
-                    continue
-                xs.append(x)
-                ys.append(y)
+                finite = math.isfinite(x) and math.isfinite(y)
+                if finite and (x > 0 or not logx) and (y > 0 or not logy):
+                    xs.append(x)
+                    ys.append(y)
             if xs:
                 curves.append((html.escape(label), xs, ys))
     if not curves:
@@ -166,8 +168,8 @@ def emit_svg(series, plot_spec: dict, out_path: str | Path) -> Path:
     all_y = [v for _, _, ys in curves for v in ys]
     if threshold is not None and (not logy or threshold > 0):
         all_y.append(threshold)
-    ax_x = _Axis(min(all_x), max(all_x), logx, MARGIN_L, WIDTH - MARGIN_R)
-    ax_y = _Axis(min(all_y), max(all_y), logy, HEIGHT - MARGIN_B, MARGIN_T)
+    ax_x = _Axis(f"x ({x_col})", min(all_x), max(all_x), logx, MARGIN_L, WIDTH - MARGIN_R)
+    ax_y = _Axis(f"y ({', '.join(y_cols)})", min(all_y), max(all_y), logy, HEIGHT - MARGIN_B, MARGIN_T)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:g}" '

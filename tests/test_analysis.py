@@ -128,6 +128,10 @@ class TestBodeMetrics:
         assert metrics.crossover_hz == pytest.approx(1e3 * math.sqrt(100**2 - 1), rel=1e-3)
         assert metrics.phase_margin_deg == pytest.approx(90.57, abs=0.1)
 
+    def test_overflowing_gain_product_rejected(self):
+        with pytest.raises(ValueError, match="dc_gain"):
+            LoopParams(1.0, 1e308, 1.0, 1e308, 1e9, 1e9, 1e3)
+
     def test_degenerate_loop_reports_absent_metrics(self):
         params = LoopParams(1e-6, 1e-3, 1.0, 1e-3, 1e9, 1e9, 1e3)
         metrics = bode_metrics(params)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -419,18 +420,18 @@ class TestBerFromSer:
 
 
 MC_PINNED = {
-    (4, 0.0, 3): (0.0059, 0.0118, 0.00047503730497025634),
-    (4, 0.0, 4): (0.00595, 0.0119, 0.0004770306741387429),
-    (4, 0.05, 3): (0.00644, 0.01286, 0.0004961318023645826),
-    (4, 0.05, 4): (0.00645, 0.01284, 0.0004965137766746014),
-    (16, 0.0, 3): (0.009595, 0.03796, 0.0004273299675485344),
-    (16, 0.0, 4): (0.009085, 0.0361, 0.00041593092513106123),
-    (16, 0.05, 3): (0.011315, 0.045, 0.00046363284001047395),
-    (16, 0.05, 4): (0.011495, 0.04554, 0.0004672619524298799),
-    (64, 0.0, 3): (0.008693333333333334, 0.05138, 0.00033224597650184515),
-    (64, 0.0, 4): (0.008323333333333334, 0.04926, 0.00032516200655389197),
-    (64, 0.05, 3): (0.015733333333333332, 0.09186, 0.0004453418893104913),
-    (64, 0.05, 4): (0.015733333333333332, 0.09198, 0.0004453418893104913),
+    (4, 0.0, 3): (0.00592, 0.01174, 0.00047583567892995395),
+    (4, 0.0, 4): (0.00585, 0.0117, 0.00047303533282341614),
+    (4, 0.05, 3): (0.00626, 0.01252, 0.0004892039244087271),
+    (4, 0.05, 4): (0.00663, 0.01324, 0.00050333844352715),
+    (16, 0.0, 3): (0.00923, 0.0367, 0.0004192045786609002),
+    (16, 0.0, 4): (0.00946, 0.03742, 0.0004243435206200076),
+    (16, 0.05, 3): (0.011285, 0.0448, 0.00046302509186091156),
+    (16, 0.05, 4): (0.01123, 0.04458, 0.0004619087129032885),
+    (64, 0.0, 3): (0.00853, 0.05058, 0.00032913827269835904),
+    (64, 0.0, 4): (0.008573333333333334, 0.05084, 0.00032996571900766584),
+    (64, 0.05, 3): (0.01565, 0.09168, 0.0004441799649041424),
+    (64, 0.05, 4): (0.01552, 0.09082, 0.00044236086733805943),
 }
 
 
@@ -475,14 +476,23 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     @pytest.mark.parametrize("order", [4, 16, 64])
-    def test_draws_and_counts_pinned(self, monkeypatch, order, sigma):
-        # (ber, ser, halfwidth) over three batches, each ending in a partial
-        # block, equal to what the oracle gave when it decided whole batches.
-        monkeypatch.setattr(ber_module, "MC_CHUNK_SYMBOLS", 20_000)
+    def test_draws_and_counts_pinned(self, order, sigma):
+        # (ber, ser, halfwidth) over three whole blocks and a partial one.
         c = build_constellation(order, 1.0, 0.1)
         env = NoiseEnvironment(n0_from_snr_db(c, {4: 8.0, 16: 14.0, 64: 20.0}[order]), sigma)
         for seed in (3, 4):
             assert monte_carlo_ber(c, env, 50_000, seed) == MC_PINNED[order, sigma, seed]
+
+    def test_memory_stays_per_block(self):
+        c = build_constellation(16, 1.0, 0.1)
+        env = NoiseEnvironment(n0_from_snr_db(c, 14.0), 0.05)
+        tracemalloc.start()
+        try:
+            monte_carlo_ber(c, env, 1_000_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_minimum_size_enforced(self):
         c = build_constellation(4, 1.0, 0.1)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oqamcpr import ber, reports, svgplot
+from oqamcpr import ber, cli, reports, svgplot
 from oqamcpr.cli import main, run_scenario
 from oqamcpr.config import ScenarioConfig, load_config, sweep_variants, validate_config
 from oqamcpr.errors import ConfigError
@@ -77,6 +77,8 @@ BAD_INPUTS = [
                  "reference_metrics", id="reference-not-a-number"),
     pytest.param({"run": {"mode": "bode", "reference_metrics": {"crossover_hz": 0}}},
                  "reference_metrics", id="reference-zero"),
+    pytest.param({"loop": {"k_lf_v_per_v": 1e308, "k_ps_rad_per_v": 1e308},
+                  "run": {"mode": "bode", "svg": True}}, "dc_gain", id="bode-gain-product-inf"),
     pytest.param({"run": {"output_dir": 5}}, "output_dir", id="output_dir-5"),
     pytest.param({"channel": {"baud_rate_hz": 10**400}}, "baud_rate_hz", id="number-beyond-float"),
     pytest.param({"run": {"seed": -1}}, "seed", id="lock-seed-negative"),
@@ -227,6 +229,23 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "no plottable data points" in err and "run.svg" in err
         assert "laser.linewidth_hz" in err
+        assert list(outdir.iterdir()) == []
+
+    def test_svg_span_overflow_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        bode = cli._MODE_RUNNERS["bode"]
+
+        def overflowing(sc):
+            table = bode(sc)
+            table.columns["mag_db"][[0, -1]] = -1e308, 1e308
+            return table
+
+        monkeypatch.setitem(cli._MODE_RUNNERS, "bode", overflowing)
+        cfg = {"modulation": {"order": 4}, "run": {"mode": "bode", "svg": True}}
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "run.svg" in err and "mag_db" in err and "not finite" in err
         assert list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -491,6 +510,29 @@ class TestSvg:
         spec_path.write_text(json.dumps({"x": "x", "y": "y"}))
         rc = main(["plot", str(bad), str(spec_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_samples_dropped(self, tmp_path, bad):
+        rows = ["1.0,0.1", f"2.0,{bad}", "3.0,0.01", f"{bad},0.05", "4.0,0.001"]
+        (tmp_path / "bad.csv").write_text("snr_db,ber\n" + "\n".join(rows) + "\n")
+        (tmp_path / "good.csv").write_text("snr_db,ber\n" + "\n".join(rows[::2]) + "\n")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"x": "snr_db", "y": "ber", "labels": ["ber"]}))
+        for name in ("bad", "good"):
+            csv, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+            assert main(["plot", str(csv), str(spec_path), "-o", str(out)]) == 0
+        assert (tmp_path / "bad.svg").read_bytes() == (tmp_path / "good.svg").read_bytes()
+
+    def test_span_beyond_float_range_exit_2(self, tmp_path, capsys):
+        csv = tmp_path / "wide.csv"
+        csv.write_text("snr_db,ber\n1.0,-1e308\n2.0,1e308\n")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"x": "snr_db", "y": "ber"}))
+        rc = main(["plot", str(csv), str(spec_path), "-o", str(tmp_path / "x.svg")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "y (ber) axis" in err and "Traceback" not in err
+        assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize("spec, key", BAD_PLOT_SPECS)
     def test_bad_plot_spec_exit_2(self, tmp_path, capsys, spec, key):
