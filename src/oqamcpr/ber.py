@@ -294,6 +294,7 @@ def semi_analytic_ser(c: OffsetQamConstellation, env: NoiseEnvironment) -> float
 
 def semi_analytic_ber(c: OffsetQamConstellation, env: NoiseEnvironment) -> float:
     """Exact Gray-coded bit error rate (expected bit flips / bits per symbol)."""
+    _warn_if_wide(env.sigma_pn_rad, stacklevel=2)
     bit_flips = _integrate_over_phase(
         lambda th: _symbol_bit_errors(c, th, env.n0).mean(axis=0), env.sigma_pn_rad
     )

@@ -88,10 +88,6 @@ GRID_REL_TOL = 0.01
 
 def total_variance(linewidth_hz: float, tau_s: float, params: LoopParams | None) -> float:
     """Integrated beat-phase variance sigma^2 in rad^2, as ``shaped_spectrum`` computes it."""
-    if tau_s < 0 or linewidth_hz < 0:
-        raise ValueError("linewidth_hz and tau_s must be >= 0")
-    if tau_s == 0 or linewidth_hz == 0:
-        return 0.0
     return shaped_spectrum(linewidth_hz, tau_s, params).variance_rad2
 
 
@@ -105,11 +101,13 @@ def shaped_spectrum(
     analytically.  The doubled grid must agree within GRID_REL_TOL, else a
     ConvergenceError reports both estimates.  Without beat noise it is 0.0.
     """
+    if tau_s < 0 or linewidth_hz < 0:
+        raise ValueError("linewidth_hz and tau_s must be >= 0")
     band = default_integration_band(tau_s if tau_s > 0 else 1e-9, params)
     f = log_frequency_grid(*band, GRID_POINTS_PER_DECADE)
     psd = shaped_psd(f, linewidth_hz, tau_s, params)
-    if tau_s <= 0 or linewidth_hz <= 0:  # total_variance rejects negatives, else gives 0.0
-        return ShapedPhaseNoise(f, psd, total_variance(linewidth_hz, tau_s, params))
+    if tau_s == 0 or linewidth_hz == 0:
+        return ShapedPhaseNoise(f, psd, 0.0)
     coarse = 2.0 * float(np.trapezoid(psd, f))
     f_fine = log_frequency_grid(*band, 2 * GRID_POINTS_PER_DECADE)
     fine = 2.0 * float(np.trapezoid(shaped_psd(f_fine, linewidth_hz, tau_s, params), f_fine))

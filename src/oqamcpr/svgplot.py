@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import html
 import math
+import sys
 from pathlib import Path
 
 from .ber import KP4_BER_THRESHOLD
@@ -22,62 +23,60 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 84.0, 24.0, 40.0, 56.0
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    raw = (hi - lo) / target
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        ticks.append(round(t, 12))
-        t += step
-    return ticks
-
-
-def _decade_ticks(lo: float, hi: float) -> list[float]:
-    lo_e = math.ceil(math.log10(lo) - 1e-9)
-    hi_e = math.floor(math.log10(hi) + 1e-9)
-    return [10.0**e for e in range(lo_e, hi_e + 1)]
-
-
-def _fmt_tick(value: float) -> str:
+def _label(value: float, e: int) -> str:
+    """``value`` to the digits of a step in decade ``e``: fixed in [1e-3, 1e4), else as 1.5e-4."""
     if value == 0:
         return "0"
-    if abs(value) >= 1e4 or abs(value) < 1e-3:
-        return f"{value:.0e}".replace("e-0", "e-").replace("e+0", "e").replace("e+", "e")
-    return f"{value:g}"
+    if 1e-3 <= abs(value) < 1e4:
+        digits, exponent = f"{value:.{max(0, -e)}f}", ""
+    else:
+        decimals = max(0, math.floor(math.log10(abs(value))) - e)
+        digits, exponent = f"{value:.{decimals}e}".split("e")
+        exponent = f"e{int(exponent)}"
+    if "." in digits:
+        digits = digits.rstrip("0").rstrip(".")
+    return digits + exponent
 
 
 class _Axis:
     def __init__(self, name: str, lo: float, hi: float, log: bool, pix_lo: float, pix_hi: float):
-        if log:
-            lo10, hi10 = math.log10(lo), math.log10(hi)
-        else:
-            lo10, hi10 = lo, hi
-        if not math.isfinite(hi10 - lo10):
+        self.log, self.values = log, (lo, hi)
+        self.coord = math.log10 if log else float
+        self.lo, self.hi = self.coord(lo), self.coord(hi)
+        scale = max(abs(lo), abs(hi))
+        if hi - lo <= 4096 * math.ulp(scale):
+            # A span its values cannot resolve: widen it by half a decade on a log
+            # axis, else by half the values' size (by 0.5 if they are zero or subnormal).
+            half = 0.5 if log or scale < sys.float_info.min else 0.5 * scale
+            self.lo, self.hi = self.lo - half, self.hi + half
+        if not math.isfinite(self.hi - self.lo):
             raise ValueError(f"the {name} axis span {lo:g} to {hi:g} is not finite")
-        if hi10 - lo10 < 1e-12:
-            lo10 -= 0.5
-            hi10 += 0.5
-        self.lo, self.hi, self.log = lo10, hi10, log
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
 
     def to_pix(self, value: float) -> float:
-        v = math.log10(value) if self.log else value
-        frac = (v - self.lo) / (self.hi - self.lo)
+        frac = (self.coord(value) - self.lo) / (self.hi - self.lo)
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
-    def ticks(self) -> list[float]:
-        """Tick positions in data units."""
+    def ticks(self) -> list[tuple[float, str]]:
+        """(position in data units, label) of each tick.
+
+        A log axis that holds a decade gets its decades.  Any other axis
+        gets the multiples of a 1, 2 or 5 step that fit about five
+        times into its span, each labelled to the step's digits.
+        """
+        lo, hi = self.lo, self.hi
         if self.log:
-            return _decade_ticks(10.0**self.lo, 10.0**self.hi)
-        return _nice_ticks(self.lo, self.hi)
+            decades = range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)
+            if decades:
+                return [(10.0**e, _label(10.0**e, e)) for e in decades]
+            lo, hi = self.values  # a log axis holding no decade was never widened
+        raw = (hi - lo) / 5
+        e = math.floor(math.log10(raw))
+        mult = next(m for m in (1, 2, 5, 10) if raw <= m * 10.0**e)
+        step = mult * 10.0**e
+        first = math.ceil(lo / step - 1e-9)
+        ticks = [(first + k) * step for k in range(math.floor(hi / step + 1e-9) - first + 1)]
+        return [(t, _label(t, e + (mult == 10))) for t in ticks]
 
 
 TEXTS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
@@ -139,9 +138,9 @@ def emit_svg(series, plot_spec: dict, out_path: str | Path) -> Path:
     x_col, *y_cols = _check_spec(plot_spec)
     logx = bool(plot_spec.get("logx", False))
     logy = bool(plot_spec.get("logy", False))
-    threshold = plot_spec.get("threshold")
-    if plot_spec.get("kp4_line"):
-        threshold = KP4_BER_THRESHOLD
+    threshold = KP4_BER_THRESHOLD if plot_spec.get("kp4_line") else plot_spec.get("threshold")
+    if logy and threshold is not None and threshold <= 0:
+        threshold = None  # a log axis cannot place it
 
     curves = []  # (label, xs, ys)
     labels = plot_spec.get("labels") or []
@@ -166,7 +165,7 @@ def emit_svg(series, plot_spec: dict, out_path: str | Path) -> Path:
 
     all_x = [v for _, xs, _ in curves for v in xs]
     all_y = [v for _, _, ys in curves for v in ys]
-    if threshold is not None and (not logy or threshold > 0):
+    if threshold is not None:
         all_y.append(threshold)
     ax_x = _Axis(f"x ({x_col})", min(all_x), max(all_x), logx, MARGIN_L, WIDTH - MARGIN_R)
     ax_y = _Axis(f"y ({', '.join(y_cols)})", min(all_y), max(all_y), logy, HEIGHT - MARGIN_B, MARGIN_T)
@@ -180,32 +179,28 @@ def emit_svg(series, plot_spec: dict, out_path: str | Path) -> Path:
         f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="black"/>',
     ]
 
-    for v in ax_x.ticks():
+    for v, label in ax_x.ticks():
         px = ax_x.to_pix(v)
-        if px < MARGIN_L - 0.5 or px > WIDTH - MARGIN_R + 0.5:
-            continue
         parts.append(
             f'<line x1="{px:.2f}" y1="{HEIGHT - MARGIN_B:.2f}" '
             f'x2="{px:.2f}" y2="{HEIGHT - MARGIN_B + 5:.2f}" stroke="black"/>'
         )
         parts.append(
             f'<text x="{px:.2f}" y="{HEIGHT - MARGIN_B + 18:.2f}" font-size="11" '
-            f'text-anchor="middle">{_fmt_tick(v)}</text>'
+            f'text-anchor="middle">{label}</text>'
         )
-    for v in ax_y.ticks():
+    for v, label in ax_y.ticks():
         py = ax_y.to_pix(v)
-        if py < MARGIN_T - 0.5 or py > HEIGHT - MARGIN_B + 0.5:
-            continue
         parts.append(
             f'<line x1="{MARGIN_L - 5:.2f}" y1="{py:.2f}" '
             f'x2="{MARGIN_L:.2f}" y2="{py:.2f}" stroke="black"/>'
         )
         parts.append(
             f'<text x="{MARGIN_L - 8:.2f}" y="{py + 3.5:.2f}" font-size="11" '
-            f'text-anchor="end">{_fmt_tick(v)}</text>'
+            f'text-anchor="end">{label}</text>'
         )
 
-    if threshold is not None and (not logy or threshold > 0):
+    if threshold is not None:
         py = ax_y.to_pix(threshold)
         parts.append(
             f'<line x1="{MARGIN_L:.2f}" y1="{py:.2f}" '

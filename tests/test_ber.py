@@ -211,6 +211,8 @@ class TestSemiAnalytic:
         c = build_constellation(4, 1.0, 0.1)
         with pytest.warns(UserWarning, match="sigma_pn"):
             semi_analytic_ser(c, NoiseEnvironment(0.01, 1.5))
+        with pytest.warns(UserWarning, match="sigma_pn"):
+            semi_analytic_ber(c, NoiseEnvironment(0.01, 1.2))
 
 
 class TestQuadNodes:
