@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, roots_legendre
 
 from .channel import add_awgn, rotate_symbol, stream_rng
 from .constellation import OffsetQamConstellation, decide_levels, n0_from_snr_db
@@ -88,7 +87,13 @@ def _at_theta(values_fn, theta):
 
 
 def _tail_prob(n0):
-    """distance -> P(gaussian with variance n0/2 exceeds distance); n0 broadcasts."""
+    """distance -> P(gaussian with variance n0/2 exceeds distance); n0 broadcasts.
+
+    scipy is imported here, on the first error rate, so that runs which
+    compute none never load it.
+    """
+    from scipy.special import erfc
+
     root = np.sqrt(n0)
     noiseless = root == 0
     if not noiseless.any():
@@ -189,17 +194,23 @@ QUAD_ORDER = 201
 QUAD_REL_TOL = 0.01
 
 
+def _legendre_recurrence(n: int) -> np.ndarray:
+    """b_0..b_{n-1} of the Legendre polynomials on [-1, 1]: b_0 = 2, b_k = k^2 / (4k^2 - 1)."""
+    k = np.arange(1.0, n)
+    return np.concatenate(([2.0], k**2 / (4.0 * k**2 - 1.0)))
+
+
 def _kronrod_recurrence(n: int) -> np.ndarray:
     """b_0..b_2n of the Jacobi matrix whose Gauss rule is the 2n+1 point Kronrod rule.
 
     Laurie's algorithm (Math. Comp. 66 (1997) 1133-1145) extends the Legendre
-    recurrence b_k = k^2 / (4k^2 - 1), b_0 = 2.  The weight is even, so every
-    diagonal entry stays 0 and only the b updates remain.  Each inner loop
-    reads s before writing it, hence one cumsum per loop.
+    recurrence.  The weight is even, so every diagonal entry stays 0 and only
+    the b updates remain.  Each inner loop reads s before writing it, hence
+    one cumsum per loop.
     """
     b = np.zeros(2 * n + 1)
-    k = np.arange(1.0, (3 * n + 1) // 2 + 1)
-    b[0], b[1 : k.size + 1] = 2.0, k**2 / (4.0 * k**2 - 1.0)
+    known = _legendre_recurrence((3 * n + 1) // 2 + 1)
+    b[: known.size] = known
     s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
     t[1] = b[n + 1]
     for m in range(n - 1):
@@ -217,16 +228,15 @@ def _kronrod_recurrence(n: int) -> np.ndarray:
     return b
 
 
-@functools.lru_cache(maxsize=None)
-def _quad_nodes(order: int):
-    """Read-only Gauss-Kronrod rule on [-1, 1], built once per order on first use.
+def _gauss_rule(b: np.ndarray):
+    """Nodes and weights of the Gauss rule of an even weight with recurrence b.
 
-    Returns the 2 * order + 1 Kronrod nodes x, exactly symmetric about 0,
-    their weights, and the Gauss-Legendre weights of the embedded nodes
-    x[1::2].  The nodes are the eigenvalues of the Jacobi matrix; each
-    weight is 1 / sum_k p_k(x)^2 over its orthonormal polynomials.
+    Golub & Welsch (Math. Comp. 23 (1969) 221-230): the nodes are the
+    eigenvalues of the Jacobi matrix with zero diagonal and off-diagonal
+    sqrt(b_1..), made exactly symmetric about 0; each weight is
+    1 / sum_k p_k(x)^2 over the orthonormal polynomials, b_0 the weight's mass.
     """
-    beta = np.sqrt(_kronrod_recurrence(order))
+    beta = np.sqrt(b)
     x = np.linalg.eigvalsh(np.diag(beta[1:], -1))
     x = (x - x[::-1]) / 2
     p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / beta[0])
@@ -234,7 +244,24 @@ def _quad_nodes(order: int):
     for k in range(1, x.size):
         p_prev, p = p, (x * p - beta[k - 1] * p_prev) / beta[k]
         norm += p * p
-    w, w_gauss = 1.0 / norm, roots_legendre(order)[1]
+    return x, 1.0 / norm
+
+
+def roots_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], as scipy.special.roots_legendre."""
+    return _gauss_rule(_legendre_recurrence(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _quad_nodes(order: int):
+    """Read-only Gauss-Kronrod rule on [-1, 1], built once per order on first use.
+
+    Returns the 2 * order + 1 Kronrod nodes x, exactly symmetric about 0,
+    their weights, and the Gauss-Legendre weights of the embedded nodes
+    x[1::2].
+    """
+    x, w = _gauss_rule(_kronrod_recurrence(order))
+    w_gauss = roots_legendre(order)[1]
     for arr in (x, w, w_gauss):
         arr.flags.writeable = False
     return x, w, w_gauss

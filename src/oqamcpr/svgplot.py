@@ -46,9 +46,11 @@ class _Axis:
         scale = max(abs(lo), abs(hi))
         if hi - lo <= 4096 * math.ulp(scale):
             # A span its values cannot resolve: widen it by half a decade on a log
-            # axis, else by half the values' size (by 0.5 if they are zero or subnormal).
+            # axis, else by half the values' size (by 0.5 if they are zero or
+            # subnormal) but not past the largest float.
             half = 0.5 if log or scale < sys.float_info.min else 0.5 * scale
-            self.lo, self.hi = self.lo - half, self.hi + half
+            top = sys.float_info.max
+            self.lo, self.hi = max(self.lo - half, -top), min(self.hi + half, top)
         if not math.isfinite(self.hi - self.lo):
             raise ValueError(f"the {name} axis span {lo:g} to {hi:g} is not finite")
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
@@ -60,14 +62,18 @@ class _Axis:
     def ticks(self) -> list[tuple[float, str]]:
         """(position in data units, label) of each tick.
 
-        A log axis that holds a decade gets its decades.  Any other axis
-        gets the multiples of a 1, 2 or 5 step that fit about five
-        times into its span, each labelled to the step's digits.
+        A log axis that holds a decade gets its decades, or every k-th
+        decade (k = 2, 5, 10, 20, ...) where more than 11 would be labelled.
+        Any other axis gets the multiples of a 1, 2 or 5 step that fit about
+        five times into its span, each labelled to the step's digits.
         """
         lo, hi = self.lo, self.hi
         if self.log:
-            decades = range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)
-            if decades:
+            first, last = math.ceil(lo - 1e-9), math.floor(hi + 1e-9)
+            if first <= last:
+                # Floats span 632 decades, so k = 100 bounds every axis.
+                k = next(k for k in (1, 2, 5, 10, 20, 50, 100) if 10 * k >= last - first)
+                decades = range(-(-first // k) * k, last + 1, k)
                 return [(10.0**e, _label(10.0**e, e)) for e in decades]
             lo, hi = self.values  # a log axis holding no decade was never widened
         raw = (hi - lo) / 5

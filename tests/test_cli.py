@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -446,6 +449,49 @@ class TestRunOutputs:
         assert first.notes == second.notes
         for name in ("bode.csv", "bode.svg", "bode_manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# Imports the package and prints the scipy modules that loaded, then runs
+# `runs` (Python source) and prints which of scipy.special and scipy.linalg
+# are loaded.
+SCIPY_PROBE = """
+import sys
+import numpy as np
+import oqamcpr.cli
+from oqamcpr.ber import snr_sweep
+from oqamcpr.cli import run_scenario
+from oqamcpr.constellation import build_constellation
+out = {out!r}
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+{runs}
+print(sorted(m for m in ("scipy.special", "scipy.linalg") if m in sys.modules))
+"""
+
+
+def loaded_scipy(tmp_path, runs):
+    code = SCIPY_PROBE.format(out=str(tmp_path), runs=runs)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return run.stdout.splitlines()
+
+
+def test_runs_without_an_error_rate_load_no_scipy(tmp_path):
+    # Importing scipy.special, and the scipy.linalg its roots_legendre pulls
+    # in, costs a few tenths of a second and about 25 MiB; only an error
+    # rate needs scipy (for erfc).
+    runs = (
+        "run_scenario({'modulation': {'order': 4}, 'run': {'mode': 'lock', 'label': 'lock',"
+        " 'duration_s': 1e-4, 'svg': True}}, output_dir=out)\n"
+        "for name in ('bode_reference_loop', 'psd_loop_bandwidth', 'eye_trace_4qam'):\n"
+        "    run_scenario(name, output_dir=out)"
+    )
+    assert loaded_scipy(tmp_path, runs) == ["[]", "[]"]
+
+
+def test_error_rate_loads_scipy_special_only(tmp_path):
+    runs = "snr_sweep(build_constellation(16, 1.0, 0.1), 0.05, np.arange(14.0, 16.0, 0.5))"
+    assert loaded_scipy(tmp_path, runs) == ["[]", "['scipy.special']"]
 
 
 def test_csv_renders_numpy_and_python_scalars_alike(tmp_path):

@@ -57,6 +57,20 @@ def test_log_axis_labels_its_decades(lo, hi, labels):
     assert [label for _, label in svgplot._Axis("y", lo, hi, True, 400.0, 40.0).ticks()] == labels
 
 
+@settings(database=None, derandomize=True, deadline=None, max_examples=400)
+@given(lo=st.floats(-323.0, 308.0), hi=st.floats(-323.0, 308.0))
+@example(lo=-300.0, hi=300.0)
+@example(lo=-6.0, hi=5.0)
+def test_log_axis_labels_at_most_eleven_decades(lo, hi):
+    lo, hi = sorted((10.0**lo, 10.0**hi))
+    axis = svgplot._Axis("y", lo, hi, True, 400.0, 40.0)
+    ticks = axis.ticks()
+    assert 1 <= len(ticks) <= 11
+    for tick, label in ticks:
+        assert axis.lo - 1e-9 <= math.log10(tick) <= axis.hi + 1e-9
+        assert math.isclose(float(label), tick, rel_tol=1e-15)
+
+
 # y columns given to `oqamcpr plot`: (values, logy, the y tick labels or None).
 PLOT_CASES = [
     pytest.param([10000.0, 10000.000000000002], False, None, id="one-ulp-at-1e4"),
@@ -70,6 +84,9 @@ PLOT_CASES = [
                  id="1e4-to-2e4"),
     pytest.param([0.0, 1.5e-4], False, ["0", "5e-5", "1e-4", "1.5e-4"], id="0-to-1.5e-4"),
     pytest.param([2e-4, 9e-4], True, ["2e-4", "4e-4", "6e-4", "8e-4"], id="log-without-decade"),
+    pytest.param([1e-300, 1e300], True, [f"1e{e}" if e else "1" for e in range(-300, 301, 100)],
+                 id="log-600-decades"),
+    pytest.param([1.5e308, 1.5e308], False, ["1e308", "1.5e308"], id="constant-1.5e308"),
 ]
 
 
