@@ -267,36 +267,27 @@ def _quad_nodes(order: int):
     return x, w, w_gauss
 
 
-def _integrate_over_phase(values_fn, sigma: float, labels=None):
+def _integrate_over_phase(values_fn, sigma: float) -> float:
     """Integral of values_fn(theta) against the Gaussian phase pdf.
 
-    values_fn maps the 1-D nodes theta to values of shape (..., theta.size);
-    each leading entry is integrated on its own.  The pdf is used un-wrapped
-    on [-pi, pi]; for small sigma the window shrinks to +/- 8 sigma where the
-    integrand is supported.  One evaluation at the Kronrod nodes gives the
-    returned Kronrod sum and the QUAD_ORDER-point Gauss sum over the embedded
-    nodes; every entry's two sums must agree within QUAD_REL_TOL, and the
-    error names the first entry that does not, by ``labels`` (one per entry)
-    when given.
+    values_fn maps the 1-D nodes theta to values of the same shape.  The pdf
+    is used un-wrapped on [-pi, pi]; for small sigma the window shrinks to
+    +/- 8 sigma where the integrand is supported.  One evaluation at the
+    Kronrod nodes gives the returned Kronrod sum and the QUAD_ORDER-point
+    Gauss sum over the embedded nodes, which must agree within QUAD_REL_TOL.
     """
     if sigma == 0:
-        return values_fn(np.zeros(1))[..., 0]
+        return float(values_fn(np.zeros(1))[0])
     half_width = min(8.0 * sigma, math.pi)
     x, w, w_gauss = _quad_nodes(QUAD_ORDER)
     theta = x * half_width
     pdf = np.exp(-(theta**2) / (2.0 * sigma**2)) / math.sqrt(2.0 * math.pi * sigma**2)
     values = values_fn(theta)
-    fine = np.sum(w * half_width * pdf * values, axis=-1)
-    coarse = np.sum(w_gauss * half_width * pdf[1::2] * values[..., 1::2], axis=-1)
-    gap = np.abs(fine - coarse)
-    failed = np.flatnonzero((gap > QUAD_REL_TOL * np.abs(fine)) & (gap > 1e-30))
-    if failed.size:
-        i = failed[0]
-        where = "" if labels is None else f" at {labels[i]}"
-        raise ConvergenceError(
-            f"phase quadrature did not converge: "
-            f"{coarse.flat[i]:.6g} vs {fine.flat[i]:.6g}{where}"
-        )
+    fine = float((w * half_width * pdf * values).sum())
+    coarse = float((w_gauss * half_width * pdf[1::2] * values[1::2]).sum())
+    gap = abs(fine - coarse)
+    if gap > QUAD_REL_TOL * abs(fine) and gap > 1e-30:
+        raise ConvergenceError(f"phase quadrature did not converge: {coarse:.6g} vs {fine:.6g}")
     return fine
 
 
@@ -316,7 +307,7 @@ def semi_analytic_ser(c: OffsetQamConstellation, env: NoiseEnvironment) -> float
     1 rad; larger values still compute but the wrapped tails are ignored.
     """
     _warn_if_wide(env.sigma_pn_rad, stacklevel=2)
-    return float(_integrate_over_phase(lambda th: _ser_at(c, th, env.n0), env.sigma_pn_rad))
+    return _integrate_over_phase(lambda th: _ser_at(c, th, env.n0), env.sigma_pn_rad)
 
 
 def semi_analytic_ber(c: OffsetQamConstellation, env: NoiseEnvironment) -> float:
@@ -325,7 +316,7 @@ def semi_analytic_ber(c: OffsetQamConstellation, env: NoiseEnvironment) -> float
     bit_flips = _integrate_over_phase(
         lambda th: _symbol_bit_errors(c, th, env.n0).mean(axis=0), env.sigma_pn_rad
     )
-    return float(bit_flips) / c.bits_per_symbol
+    return bit_flips / c.bits_per_symbol
 
 
 def ber_from_ser(ser: float, order: int) -> float:
@@ -338,10 +329,6 @@ def ber_from_ser(ser: float, order: int) -> float:
 # Symbols drawn, rotated and decided per block of the Monte Carlo oracle,
 # which keeps its memory small and its work in cache.
 MC_BLOCK_SYMBOLS = 1 << 14
-# Float64 elements of one (SNR points x symbols x nodes) array of a batched
-# sweep: 512 KiB, so a slice's arrays stay in a core's 2 MiB L2 cache (the
-# fastest of 2^13..2^20 on the bundled sweeps).
-SWEEP_CHUNK_ELEMENTS = 1 << 16
 
 
 def monte_carlo_ber(c: OffsetQamConstellation, env: NoiseEnvironment, num_symbols: int, seed: int):
@@ -403,31 +390,18 @@ def snr_sweep(c: OffsetQamConstellation, sigma_pn_rad: float, snr_grid_db) -> Sw
 
     The reported BER follows the ser / log2(order) convention.  The FEC
     threshold SNR is log-linearly interpolated at 2.4e-4 and left absent
-    when the grid never crosses it.  With sigma > 0 the phase integral runs
-    over nodes x SNR points x symbols in one broadcast per slice of the
-    grid; each point gives the same value as ``semi_analytic_ser``.
+    when the grid never crosses it.  Each point is one ``semi_analytic_ser``
+    call; a phase quadrature that fails names the first failing Es/N0.
     """
     snr_db = np.asarray(snr_grid_db, dtype=float)
     if snr_db.ndim != 1 or snr_db.size < 2 or np.any(np.diff(snr_db) <= 0):
         raise ValueError("snr_grid_db must be strictly increasing with >= 2 points")
-    envs = [NoiseEnvironment(n0_from_snr_db(c, snr), sigma_pn_rad) for snr in snr_db]
-    if sigma_pn_rad == 0:
-        # Without a phase integral a point is one erfc pass per bound, so
-        # batching would save little; perfbench's tracer self-test counts
-        # one semi_analytic_ser call per point of such a sweep.
-        ser = np.array([semi_analytic_ser(c, env) for env in envs])
-    else:
-        _warn_if_wide(sigma_pn_rad, stacklevel=2)
-        n0 = np.array([env.n0 for env in envs])
-        step = max(1, SWEEP_CHUNK_ELEMENTS // (c.order * (2 * QUAD_ORDER + 1)))
-        ser = np.concatenate([
-            _integrate_over_phase(
-                lambda th: _ser_at(c, th[None, :], n0[j:j + step, None]),
-                sigma_pn_rad,
-                labels=[f"Es/N0 {snr:g} dB" for snr in snr_db[j:j + step]],
-            )
-            for j in range(0, snr_db.size, step)
-        ])
+    ser = np.empty(snr_db.size)
+    for i, snr in enumerate(snr_db):
+        try:
+            ser[i] = semi_analytic_ser(c, NoiseEnvironment(n0_from_snr_db(c, snr), sigma_pn_rad))
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{exc} at Es/N0 {snr:g} dB") from None
     ber = ser / math.log2(c.order)
     return SweepResult(
         snr_db=snr_db,

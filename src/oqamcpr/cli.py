@@ -318,7 +318,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:  # ConfigError and domain rejections alike
-        print(f"error: {exc}", file=sys.stderr)
+        # numpy rejects an array size past the address space with a ValueError
+        too_large = str(exc).startswith(("Maximum allowed", "array is too big"))
+        print(f"error: {'out of memory: ' if too_large else ''}{exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # e.g. a duration_s or num_symbols too large to hold
         print(f"error: out of memory: {exc}", file=sys.stderr)

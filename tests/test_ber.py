@@ -531,7 +531,6 @@ class TestSweep:
     @pytest.mark.parametrize("sigma", [0.0, 0.1])
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_batched_sweep_matches_one_point_path(self, order, sigma):
-        # 45 points: a 64-QAM sweep runs in two slices of the SNR axis.
         c = build_constellation(order, 1.0, 0.1)
         grid = np.arange(8.0, 30.5, 0.5)
         one_point = [
@@ -542,15 +541,16 @@ class TestSweep:
 
     @pytest.mark.filterwarnings("error")
     def test_batched_sweep_handles_noiseless_point(self):
-        # Es/N0 = inf gives n0 = 0 beside noisy points in one slice; no
-        # divide-by-zero warning escapes.
+        # Es/N0 = inf gives n0 = 0, and so does 1e308 dB, whose 10 ** (snr / 10)
+        # overflows; -1e308 dB gives n0 = inf.  No numpy warning escapes.
         c = build_constellation(16, 1.0, 0.1)
-        grid = [10.0, 20.0, np.inf]
+        grid = np.array([-1e308, 10.0, 20.0, 1e308, np.inf])
         one_point = [
             semi_analytic_ser(c, NoiseEnvironment(n0_from_snr_db(c, snr), 0.01))
             for snr in grid
         ]
-        assert one_point[-1] == 0.0
+        assert one_point[0] == pytest.approx(15 / 16, rel=1e-12)
+        assert one_point[-2:] == [0.0, 0.0]
         assert np.array_equal(snr_sweep(c, 0.01, grid).ser, one_point)
 
     def test_quadrature_nonconvergence_names_first_failing_snr(self, monkeypatch):
@@ -560,6 +560,25 @@ class TestSweep:
             ConvergenceError, match=r"converge: 0\.000103464 vs 7\.38595e-05 at Es/N0 20 dB$"
         ):
             snr_sweep(c, 0.1, [20.0, 22.0])
+        # The first two points converge; the third does not.
+        monkeypatch.setattr(ber_module, "QUAD_ORDER", 16)
+        c = build_constellation(4, 1.0, 0.1)
+        with pytest.raises(
+            ConvergenceError, match=r"converge: 0\.152522 vs 0\.114532 at Es/N0 20 dB$"
+        ):
+            snr_sweep(c, 0.5, [0.0, 10.0, 20.0])
+
+    def test_one_semi_analytic_call_per_point(self, monkeypatch):
+        sigmas = []
+
+        def counting(c, env):
+            sigmas.append(env.sigma_pn_rad)
+            return semi_analytic_ser(c, env)
+
+        monkeypatch.setattr(ber_module, "semi_analytic_ser", counting)
+        grid = np.arange(10.0, 24.25, 0.25)
+        snr_sweep(build_constellation(16, 1.0, 0.1), 0.1, grid)
+        assert sigmas == [0.1] * grid.size
 
     def test_large_sigma_sweep_warns(self):
         c = build_constellation(4, 1.0, 0.1)

@@ -257,12 +257,18 @@ class TestCliCommands:
             {"mode": "lock", "duration_s": 1e6},
             {"mode": "trace", "num_symbols": 10**14},
             {"mode": "ber-sweep", "snr_grid_db": {"start": 0, "stop": 1e14, "step": 1}},
+            {"mode": "lock", "duration_s": 1e12},
+            {"mode": "trace", "num_symbols": 10**23},
+            {"mode": "ber-sweep", "snr_grid_db": {"start": 0, "stop": 2e18, "step": 1}},
+            {"mode": "ber-sweep", "snr_grid_db": {"start": 0, "stop": 1e7, "step": 1e-300}},
         ],
-        ids=["lock", "trace", "ber-sweep"],
+        ids=["lock", "trace", "ber-sweep", "lock-past-intp", "trace-past-intp",
+             "ber-sweep-past-bytes", "ber-sweep-past-intp"],
     )
     def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys, run):
         # 1e14 eight-byte elements (728 TiB) exceed the address space: the
-        # allocation fails at once, without touching memory.
+        # allocation fails at once, without touching memory.  Past 2**63 bytes
+        # or elements numpy refuses the size before it allocates.
         cfg = {"modulation": {"order": 4}, "run": run}
         outdir = tmp_path / "out"
         rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
