@@ -23,13 +23,15 @@ Two rate figures are provided on top of the symbol error rate:
   exactly, which is what the Monte Carlo path measures and what the
   classic QPSK/16-QAM closed forms describe.
 
-A seeded Monte Carlo oracle cross-checks both.
+A seeded Monte Carlo oracle cross-checks both.  scipy (for erfc) loads
+on the first error rate with AWGN (n0 > 0); at n0 = 0 the tails are steps.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -52,18 +54,15 @@ class NoiseEnvironment:
     sigma_pn_rad: float = 0.0
 
     def __post_init__(self):
-        if self.n0 < 0:
-            raise ValueError("n0 must be >= 0")
-        if self.sigma_pn_rad < 0:
-            raise ValueError("sigma_pn_rad must be >= 0")
+        for name in ("n0", "sigma_pn_rad"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not value >= 0:
+                raise ValueError(f"{name} must be a real scalar >= 0, got {value!r}")
 
 
 def _rotated_i(c: OffsetQamConstellation, theta):
-    """Rotated I coordinate px cos(theta) + py sin(theta), shape (order,) x theta shape."""
-    th = np.asarray(theta, dtype=float)
-    px = c.points[:, 0].reshape(-1, *([1] * th.ndim))
-    py = c.points[:, 1].reshape(-1, *([1] * th.ndim))
-    return px * np.cos(th) + py * np.sin(th)
+    """px cos(theta) + py sin(theta) of every symbol at 1-D theta: shape (order, theta.size)."""
+    return c.points[:, :1] * np.cos(theta) + c.points[:, 1:] * np.sin(theta)
 
 
 def _q_from_i(c: OffsetQamConstellation, values):
@@ -86,39 +85,31 @@ def _at_theta(values_fn, theta):
     return values.reshape(values.shape[:-1] + np.shape(theta))
 
 
-def _tail_prob(n0):
-    """distance -> P(gaussian with variance n0/2 exceeds distance); n0 broadcasts.
+def _tail_prob(n0: float):
+    """distance -> P(gaussian with variance n0/2 exceeds distance): a step at n0 = 0.
 
-    scipy is imported here, on the first error rate, so that runs which
-    compute none never load it.
+    scipy is imported here, on the first error rate with AWGN (n0 > 0), so
+    that runs which compute none never load it.
     """
+    if n0 == 0:
+        return lambda distance: (distance < 0).astype(float)
     from scipy.special import erfc
 
-    root = np.sqrt(n0)
-    noiseless = root == 0
-    if not noiseless.any():
-        return lambda distance: 0.5 * erfc(distance / root)
-
-    def tail(distance):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(noiseless, distance < 0, 0.5 * erfc(distance / root))
-
-    return tail
+    root = math.sqrt(n0)
+    return lambda distance: 0.5 * erfc(distance / root)
 
 
-def _symbol_errors(c: OffsetQamConstellation, theta, n0):
+def _symbol_errors(c: OffsetQamConstellation, theta, n0: float):
     """Per-axis (p_i, p_q) and symbol error probabilities of every symbol.
 
-    Each has shape (order,) + the broadcast shape of theta and n0; I and Q
-    errors combine as p_i + p_q - p_i * p_q.  theta must be symmetric about
-    0 along its last axis and n0 constant along it (see _q_from_i).
+    Each has shape (order, theta.size); I and Q errors combine as
+    p_i + p_q - p_i * p_q.  theta must be 1-D and symmetric about 0 (see _q_from_i).
     """
     x = _rotated_i(c, theta)
     m = c.side
-    shape = [-1] + [1] * np.ndim(theta)
     # Symbols s = ki * m + kq: the first m have no lower bound, the last m no upper.
-    t_lo = c.thresholds[c.level_indices[m:, 0] - 1].reshape(shape)
-    t_hi = c.thresholds[c.level_indices[:-m, 0]].reshape(shape)
+    t_lo = c.thresholds[c.level_indices[m:, 0] - 1, None]
+    t_hi = c.thresholds[c.level_indices[:-m, 0], None]
     tail = _tail_prob(n0)
     below, above = tail(x[m:] - t_lo), tail(t_hi - x[:-m])
     p_i = np.concatenate((above[:m], below[:-m] + above[m:], below[-m:]))
@@ -142,11 +133,6 @@ def conditional_symbol_error(
     return out if np.ndim(out) else float(out)
 
 
-def _ser_at(c: OffsetQamConstellation, theta, n0):
-    """Mean symbol error probability over the constellation at each (n0, theta)."""
-    return np.mean(_symbol_errors(c, theta, n0)[2], axis=0)
-
-
 def _hamming_table(c: OffsetQamConstellation) -> np.ndarray:
     """ham[a, b]: Gray sub-word bit flips between level a and level b."""
     bits = c.bit_map[:: c.side, : c.bits_per_symbol // 2]  # I sub-word of each level
@@ -156,7 +142,7 @@ def _hamming_table(c: OffsetQamConstellation) -> np.ndarray:
 def _level_probabilities(c: OffsetQamConstellation, means: np.ndarray, n0: float):
     """P(decided level | rotated mean) along one axis.
 
-    means has shape (..., ); the result appends a level axis of size
+    means has shape (order, nodes); the result appends a level axis of size
     sqrt(order).  P(level j) = P(mean + noise lands in region j), taken
     from the lower tails P(x < t) for a region below the mean, from the
     upper tails P(x > t) for a region above it, and as 1 minus both for
@@ -166,7 +152,7 @@ def _level_probabilities(c: OffsetQamConstellation, means: np.ndarray, n0: float
     t_lo, t_hi = np.append(-np.inf, c.thresholds), np.append(c.thresholds, np.inf)
     # P(crossing a threshold away from the mean): P(x < t) for one below
     # the mean, P(x > t) for one above it; 0 at the infinite outer bounds.
-    out = np.pad(_tail_prob(n0)(np.abs(m - c.thresholds)), [(0, 0)] * means.ndim + [(1, 1)])
+    out = np.pad(_tail_prob(n0)(np.abs(m - c.thresholds)), ((0, 0), (0, 0), (1, 1)))
     out_lo, out_hi = out[..., :-1], out[..., 1:]
     return np.where(
         t_hi <= m, out_hi - out_lo, np.where(t_lo > m, out_lo - out_hi, 1.0 - out_lo - out_hi)
@@ -307,7 +293,9 @@ def semi_analytic_ser(c: OffsetQamConstellation, env: NoiseEnvironment) -> float
     1 rad; larger values still compute but the wrapped tails are ignored.
     """
     _warn_if_wide(env.sigma_pn_rad, stacklevel=2)
-    return _integrate_over_phase(lambda th: _ser_at(c, th, env.n0), env.sigma_pn_rad)
+    return _integrate_over_phase(
+        lambda th: _symbol_errors(c, th, env.n0)[2].mean(axis=0), env.sigma_pn_rad
+    )
 
 
 def semi_analytic_ber(c: OffsetQamConstellation, env: NoiseEnvironment) -> float:

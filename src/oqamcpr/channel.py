@@ -104,10 +104,7 @@ class ChannelScenario:
 
     def awgn_n0(self, c: OffsetQamConstellation) -> float | None:
         """AWGN PSD: n0 as given, or derived from snr_db for constellation c."""
-        try:
-            n0 = self.n0 if self.snr_db is None else n0_from_snr_db(c, self.snr_db)
-        except ArithmeticError:  # 10 ** (snr_db / 10) overflows, or underflows to 0
-            n0 = math.inf
+        n0 = self.n0 if self.snr_db is None else n0_from_snr_db(c, self.snr_db)
         if self.snr_db is not None and not math.isfinite(n0):
             raise ValueError(f"channel.snr_db = {self.snr_db:g} dB gives no finite noise PSD n0")
         return n0

@@ -119,11 +119,10 @@ def average_symbol_energy(c: OffsetQamConstellation) -> float:
 def n0_from_snr_db(c: OffsetQamConstellation, snr_db: float) -> float:
     """AWGN PSD n0 giving Es/N0 = snr_db (dB), Es the average symbol energy.
 
-    A numpy snr_db past the float range gives n0 = 0 or inf without a
-    warning; a Python float there raises ArithmeticError.
+    An snr_db past the float range gives n0 = 0 or inf without a warning.
     """
     with np.errstate(over="ignore", divide="ignore"):
-        return average_symbol_energy(c) / 10.0 ** (snr_db / 10.0)
+        return average_symbol_energy(c) / 10.0 ** (np.float64(snr_db) / 10.0)
 
 
 def map_bits(c: OffsetQamConstellation, bits) -> tuple[float, float]:

@@ -90,10 +90,10 @@ BAD_INPUTS = [
     pytest.param({"run": {"duration_s": 1e-9}}, "duration_s", id="lock-duration-short"),
     pytest.param({"laser": {"linewidth_hz": 1e6}, "mismatch": {"delta_l_m": 1e-4}},
                  "delta_l_m", id="lock-mismatch-below-sample-step"),
-    # n0 = Es / 10 ** (snr_db / 10) overflows, or divides by zero, outside the float range.
+    # n0 = Es / 10 ** (snr_db / 10) divides by zero, or overflows, below the float range.
     *(
         pytest.param({"channel": {"snr_db": snr_db}}, "snr_db", id=f"lock-snr_db-{snr_db:g}")
-        for snr_db in (1e300, -1e300, -3200)
+        for snr_db in (-1e300, -3200)
     ),
     # The band edge 10 / (2 pi tau) is a float, but laser_psd's 2 pi f^2 there is not.
     *(
@@ -289,7 +289,7 @@ class TestCliCommands:
         assert rc == 2
         assert "delta_l_m" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("snr_db", [1e300, -1e300, -3200])
+    @pytest.mark.parametrize("snr_db", [-1e300, -3200])
     def test_trace_snr_db_beyond_float_range_exit_2(self, tmp_path, capsys, snr_db):
         cfg = {"modulation": {"order": 4}, "channel": {"snr_db": snr_db},
                "run": {"mode": "trace", "num_symbols": 20}}
@@ -299,6 +299,24 @@ class TestCliCommands:
         assert rc == 2
         assert "snr_db" in err and "Traceback" not in err
         assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["lock", "trace"])
+    def test_snr_db_above_float_range_is_noiseless(self, tmp_path, mode):
+        # 10 ** (snr_db / 10) overflows to inf, so n0 = 0: the run without AWGN.
+        cfg = {"modulation": {"order": 4},
+               "run": {"mode": mode, "duration_s": 2e-5, "num_symbols": 20, "svg": True}}
+        noisy = {**cfg, "channel": {"snr_db": 1e300}}
+        for name, run_cfg in (("plain", cfg), ("snr", noisy)):
+            assert main(["run", str(write_cfg(tmp_path, run_cfg, f"{name}.json")),
+                         "-o", str(tmp_path / name)]) == 0
+        outputs = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert outputs == sorted(p.name for p in (tmp_path / "snr").iterdir())
+        for name in outputs:
+            plain, snr = ((tmp_path / run / name).read_bytes() for run in ("plain", "snr"))
+            if name.endswith("_manifest.json"):
+                plain, snr = json.loads(plain), json.loads(snr)
+                assert snr["config"]["channel"].pop("snr_db") == 1e300
+            assert plain == snr, name
 
     @pytest.mark.parametrize("delta_l_m", [1e-200, 1e-290, 1e-300, 1e-310])
     @pytest.mark.parametrize("mode", ["psd", "ber-sweep"])
@@ -493,6 +511,18 @@ def test_runs_without_an_error_rate_load_no_scipy(tmp_path):
         "    run_scenario(name, output_dir=out)"
     )
     assert loaded_scipy(tmp_path, runs) == ["[]", "[]"]
+
+
+def test_noiseless_error_rate_loads_no_scipy(tmp_path):
+    # Without AWGN every tail probability is a step, so no erfc is needed.
+    runs = (
+        "from oqamcpr.ber import NoiseEnvironment, conditional_symbol_error,"
+        " semi_analytic_ber, semi_analytic_ser\n"
+        "c, env = build_constellation(16, 1.0, 0.1), NoiseEnvironment(0.0, 0.0)\n"
+        "print(semi_analytic_ser(c, env), semi_analytic_ber(c, env),"
+        " conditional_symbol_error(c, 0, np.array([0.0, np.pi]), env).tolist())"
+    )
+    assert loaded_scipy(tmp_path, runs) == ["[]", "0.0 0.0 [0.0, 1.0]", "[]"]
 
 
 def test_error_rate_loads_scipy_special_only(tmp_path):
