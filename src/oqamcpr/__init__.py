@@ -48,6 +48,7 @@ from .constellation import (
     build_constellation,
     demap_point,
     map_bits,
+    n0_from_snr_db,
 )
 from .cpr import (
     DetectorMethod,

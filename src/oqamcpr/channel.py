@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import OffsetQamConstellation, n0_from_snr_db
+from .constellation import OffsetQamConstellation
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -79,35 +79,24 @@ class PathMismatch:
 class ChannelScenario:
     """Aggregate link description handed to the loop simulator.
 
-    snr_db and n0 are alternative noise specifications (at most one);
-    snr_db is referenced to the constellation's average symbol energy.
-    With both unset the data path is noiseless.
+    n0 is the AWGN PSD, variance n0/2 per real dimension, as in
+    ``ber.NoiseEnvironment``; n0 = 0 leaves the data path noiseless.
     """
 
     baud_rate_hz: float
     laser: LaserModel = field(default_factory=lambda: LaserModel(0.0))
     mismatch: PathMismatch = field(default_factory=lambda: PathMismatch(0.0))
     phi_offset_rad: float = 0.0
-    snr_db: float | None = None
-    n0: float | None = None
+    n0: float = 0.0
     pd_bandwidth_hz: float | None = None
 
     def __post_init__(self):
         if self.baud_rate_hz <= 0:
             raise ValueError("baud_rate_hz must be > 0")
-        if self.snr_db is not None and self.n0 is not None:
-            raise ValueError("give snr_db or n0, not both")
-        if self.n0 is not None and self.n0 < 0:
-            raise ValueError("n0 must be >= 0")
+        if not (self.n0 >= 0 and math.isfinite(self.n0)):
+            raise ValueError(f"n0 must be a finite number >= 0, got {self.n0}")
         if self.pd_bandwidth_hz is not None and self.pd_bandwidth_hz <= 0:
             raise ValueError("pd_bandwidth_hz must be > 0")
-
-    def awgn_n0(self, c: OffsetQamConstellation) -> float | None:
-        """AWGN PSD: n0 as given, or derived from snr_db for constellation c."""
-        n0 = self.n0 if self.snr_db is None else n0_from_snr_db(c, self.snr_db)
-        if self.snr_db is not None and not math.isfinite(n0):
-            raise ValueError(f"channel.snr_db = {self.snr_db:g} dB gives no finite noise PSD n0")
-        return n0
 
 
 def delay_in_samples(tau_s: float, dt_s: float) -> int:
@@ -235,8 +224,8 @@ def received_trace(
     Random symbols are rotated per sample by scenario.phi_offset_rad plus
     the beat phase of the scenario's laser and mismatch (``BeatNoise`` at
     the sample step, on a stream of its own), optionally low-passed by the
-    photodetector model, and corrupted by AWGN per the scenario noise
-    specification.  Returns (t_s, i, q) sample arrays.
+    photodetector model, and corrupted by AWGN of PSD scenario.n0.
+    Returns (t_s, i, q) sample arrays.
     """
     if num_symbols < 1:
         raise ValueError("num_symbols must be >= 1")
@@ -257,9 +246,8 @@ def received_trace(
         i_rx, _ = one_pole_lowpass(i_rx, dt, scenario.pd_bandwidth_hz)
         q_rx, _ = one_pole_lowpass(q_rx, dt, scenario.pd_bandwidth_hz)
 
-    n0 = scenario.awgn_n0(constellation)
-    if n0:
-        i_rx, q_rx = add_awgn(np.stack((i_rx, q_rx)), n0, stream_rng(seed, 0xA36))
+    if scenario.n0:
+        i_rx, q_rx = add_awgn(np.stack((i_rx, q_rx)), scenario.n0, stream_rng(seed, 0xA36))
 
     t = np.arange(i_rx.size) * dt
     return t, i_rx, q_rx

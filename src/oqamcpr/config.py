@@ -20,7 +20,12 @@ import numpy as np
 
 from .analysis import DEFAULT_LOOP, BodeMetrics, LoopParams, scale_to_closed_loop_bandwidth
 from .channel import DEFAULT_REFRACTIVE_INDEX, ChannelScenario, LaserModel, PathMismatch
-from .constellation import SUPPORTED_ORDERS, OffsetQamConstellation, build_constellation
+from .constellation import (
+    SUPPORTED_ORDERS,
+    OffsetQamConstellation,
+    build_constellation,
+    n0_from_snr_db,
+)
 from .cpr import DetectorMethod
 from .errors import ConfigError
 from .reports import value_slug
@@ -107,7 +112,6 @@ SCHEMA = {
     "channel": {
         "baud_rate_hz": (100e9, POSITIVE),
         "snr_db": (OPTIONAL, NUMBER),
-        "n0": (OPTIONAL, NON_NEGATIVE),
         "pd_bandwidth_hz": (OPTIONAL, POSITIVE),
         "phi_offset_rad": (0.0, NUMBER),
     },
@@ -180,8 +184,6 @@ def _resolve(data: dict, raw: str | None) -> dict:
         # kept as given so a replay uses the same a0; reject only when
         # they disagree.
         _fail(raw, "a0", "a0 and m_ratio disagree; give one of them")
-    if "snr_db" in cfg["channel"] and "n0" in cfg["channel"]:
-        _fail(raw, "snr_db", "give snr_db or n0, not both")
     if cfg["run"]["mode"] == "lock" and mod["a0"] == 0:
         _fail(raw, source, "lock mode needs a0 = m_ratio * a_oma > 0")
     if cfg["run"]["mode"] == "ber-sweep" and "snr_grid_db" not in cfg["run"]:
@@ -262,10 +264,6 @@ class ScenarioConfig:
 
     data: dict
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        return cls(validate_config(data))
-
     def constellation(self) -> OffsetQamConstellation:
         mod = self.data["modulation"]
         return build_constellation(mod["order"], mod["a_oma"], mod["a0"])
@@ -281,7 +279,12 @@ class ScenarioConfig:
         return DetectorMethod(self.data["loop"]["detector_method"])
 
     def scenario(self) -> ChannelScenario:
+        """The link; Es/N0 (channel.snr_db) becomes its AWGN PSD n0 here."""
         chan = self.data["channel"]
+        snr_db = chan.get("snr_db")
+        n0 = 0.0 if snr_db is None else n0_from_snr_db(self.constellation(), snr_db)
+        if not math.isfinite(n0):
+            raise ConfigError(f"channel.snr_db = {snr_db:g} dB gives no finite noise PSD n0")
         return ChannelScenario(
             baud_rate_hz=chan["baud_rate_hz"],
             laser=LaserModel(self.data["laser"]["linewidth_hz"]),
@@ -290,8 +293,7 @@ class ScenarioConfig:
                 self.data["mismatch"]["refractive_index"],
             ),
             phi_offset_rad=chan["phi_offset_rad"],
-            snr_db=chan.get("snr_db"),
-            n0=chan.get("n0"),
+            n0=n0,
             pd_bandwidth_hz=chan.get("pd_bandwidth_hz"),
         )
 

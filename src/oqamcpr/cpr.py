@@ -44,7 +44,10 @@ DEFAULT_AVERAGING_CUTOFF_HZ = 1e9
 HYSTERESIS_FRACTION = 0.01
 LOCK_TOLERANCE_RAD = math.radians(1.0)
 # Samples per chunk of blocks drawn at once.  A constant, not a knob: with
-# beat noise or AWGN a seed's draws depend on it; a clean link's do not.
+# beat noise or AWGN a seed's draws depend on it.  A clean link's draws do
+# not, but its outputs do in the last bits: the chunk's matmul rounds with
+# its row count.  The lock presets' byte-identical CSVs rest on this value
+# and on the BLAS build.
 CHUNK_SAMPLES = 1 << 13
 
 
@@ -158,7 +161,7 @@ def _awgn_map(ww, sigma):
     return sigma * np.linalg.cholesky(ww @ ww.T).T
 
 
-def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol, n0):
+def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol):
     """Block source of the symbol-level data path.
 
     Receives (input phase, psi) and yields (i_avg, q_avg, dphi) for one
@@ -182,10 +185,11 @@ def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol
     # One stream, drawn per chunk of b blocks: the 2b level permutations, the
     # chunk's beat phase, then its AWGN sums.  So with beat noise or AWGN a
     # seed's draws depend on CHUNK_SAMPLES; a clean link draws only the
-    # permutations, exactly as per-block ``permutation`` calls would.
+    # permutations, exactly as per-block ``permutation`` calls would, though
+    # its block sums still round with b.
     rng = stream_rng(seed, 0x10C)
     beat = BeatNoise(scenario.laser, scenario.mismatch, dt_samp, rng)
-    sigma = math.sqrt(n0 / 2.0) if n0 else 0.0
+    sigma = math.sqrt(scenario.n0 / 2.0)
 
     wx, ww, s = _block_weights(n_samp, dt_samp, scenario.pd_bandwidth_hz)
     noise_map = _awgn_map(ww, sigma)
@@ -279,10 +283,7 @@ def simulate_lock(
         raise ValueError(f"duration_s={duration_s:g} must span at least 20 loop updates")
 
     a0 = constellation.a0
-    source = _symbol_blocks(
-        scenario, constellation, seed, decimation, samples_per_symbol,
-        scenario.awgn_n0(constellation),
-    )
+    source = _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol)
     next(source)
 
     error_scale = params.k_pd_v_per_rad / (2.0 * a0)

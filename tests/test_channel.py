@@ -24,7 +24,7 @@ from oqamcpr.channel import (
     rotate_symbol,
     stream_rng,
 )
-from oqamcpr.constellation import build_constellation
+from oqamcpr.constellation import build_constellation, n0_from_snr_db
 
 
 def wiener_increments(linewidth_hz, dt_s, n, seed):
@@ -257,7 +257,7 @@ class TestReceivedTrace:
         sc = ChannelScenario(
             baud_rate_hz=100e9,
             phi_offset_rad=math.pi / 4,
-            snr_db=15.0,
+            n0=n0_from_snr_db(c, 15.0),
             pd_bandwidth_hz=50e9,
         )
         t, i, q = received_trace(c, sc, num_symbols=100, seed=3, samples_per_symbol=4)
@@ -305,9 +305,10 @@ class TestReceivedTrace:
         q_noise, i_next_noise = q_rx - q_clean, i_next - i_next_clean
         assert abs(np.corrcoef(q_noise, i_next_noise)[0, 1]) < 0.3
 
-    def test_snr_and_n0_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="snr_db or n0"):
-            ChannelScenario(baud_rate_hz=1e9, snr_db=10.0, n0=0.1)
+    @pytest.mark.parametrize("n0", [-0.1, math.inf, math.nan])
+    def test_rejects_n0_not_finite_and_non_negative(self, n0):
+        with pytest.raises(ValueError, match="n0"):
+            ChannelScenario(baud_rate_hz=1e9, n0=n0)
 
     @pytest.mark.parametrize("sps", [0, -2])
     def test_rejects_samples_per_symbol_below_one(self, sps):

@@ -68,10 +68,14 @@ BAD_INPUTS = [
             ("linewidth-negative", "laser.linewidth_hz", -1, {}),
             ("a_oma-0", "modulation.a_oma", 0, {}),
             ("loop-bw-negative", "loop.closed_loop_bw_hz", -1, {}),
-            ("snr_db-with-n0", "channel.snr_db", 10, {"channel": {"n0": 0.01}}),
             ("m_ratio-0", "modulation.m_ratio", 0, {}),
         ]
     ),
+    # channel.n0 is no key: Es/N0 (channel.snr_db) is the one noise setting.
+    pytest.param({"channel": {"n0": 0.01}}, "key 'n0'", id="channel-n0"),
+    pytest.param({"channel": {"n0": 0.01}, "run": {"sweep": {"key": "channel.snr_db",
+                                                             "values": [1, 10]}}},
+                 "key 'n0'", id="sweep-snr_db-with-n0"),
     pytest.param({"run": {"sweep": {"key": "loop.closed_loop_bw_hz", "values": [1e6, 1.0000001e6]}}},
                  "sweep", id="sweep-colliding-values"),
     pytest.param({"run": {"sweep": {"key": "loop.closed_loop_bw_hz", "values": [1e6, 1e6]}}},
@@ -169,7 +173,7 @@ class TestConfig:
             validate_config(cfg)
 
     def test_snr_grid_expansion(self):
-        sc = ScenarioConfig.from_dict(BER_CFG)
+        sc = ScenarioConfig(validate_config(BER_CFG))
         grid = sc.snr_grid_db()
         assert grid[0] == 6.0 and grid[-1] == 14.0 and len(grid) == 9
 
@@ -298,6 +302,18 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 2
         assert "snr_db" in err and "Traceback" not in err
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["psd", "ber-sweep"])
+    def test_snr_db_beyond_float_range_exit_2_though_unused(self, tmp_path, capsys, mode):
+        # Neither mode adds AWGN, but both build the channel and so its n0.
+        cfg = {"modulation": {"order": 4}, "channel": {"snr_db": -1e300},
+               "run": {"mode": mode, "snr_grid_db": [10, 12]}}
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "channel.snr_db" in err and "Traceback" not in err
         assert list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize("mode", ["lock", "trace"])

@@ -15,7 +15,7 @@ from oqamcpr.channel import (
     rotate_symbol,
     stream_rng,
 )
-from oqamcpr.constellation import build_constellation
+from oqamcpr.constellation import build_constellation, n0_from_snr_db
 from oqamcpr.cpr import (
     DetectorMethod,
     _loop_coefficients,
@@ -203,7 +203,7 @@ def per_sample_blocks(scenario, c, seed, decimation, samples_per_symbol, drives,
     """
     dt = 1.0 / (scenario.baud_rate_hz * samples_per_symbol)
     n = decimation * samples_per_symbol
-    n0 = scenario.awgn_n0(c)
+    n0 = scenario.n0
     rng = stream_rng(seed, 0x10C)
     beat = BeatNoise(scenario.laser, scenario.mismatch, dt, rng)
     base = np.repeat(c.levels, decimation // c.side)
@@ -233,8 +233,8 @@ def per_sample_blocks(scenario, c, seed, decimation, samples_per_symbol, drives,
 
 
 @pytest.mark.parametrize(
-    "receiver",
-    [{}, {"pd_bandwidth_hz": 5e9}, {"snr_db": 19.0}, {"snr_db": 19.0, "pd_bandwidth_hz": 5e9}],
+    "snr_db, pd_bandwidth_hz",
+    [(None, None), (None, 5e9), (19.0, None), (19.0, 5e9)],
     ids=["bare", "pd", "awgn", "awgn_pd"],
 )
 @pytest.mark.parametrize("delta_l_m", [0.0, 0.1, 100.0], ids=["clean", "10cm", "100m"])
@@ -243,7 +243,7 @@ def per_sample_blocks(scenario, c, seed, decimation, samples_per_symbol, drives,
     "order, decimation", [(4, 10), (16, 20), (64, 24)], ids=["4qam", "16qam", "64qam"]
 )
 def test_block_statistics_match_per_sample_reference(
-    monkeypatch, order, decimation, delta_l_m, receiver
+    monkeypatch, order, decimation, delta_l_m, snr_db, pd_bandwidth_hz
 ):
     # Blocks of 20-48 samples pass 5e-4 to 0.5 of each filter's state on to
     # the next block, far above the tolerance (a 5 GHz PD: the presets'
@@ -251,12 +251,13 @@ def test_block_statistics_match_per_sample_reference(
     # delay of ~98k samples is far longer than a block.  Three blocks per
     # chunk, so the filter states carry across chunk boundaries.
     monkeypatch.setattr(cpr, "CHUNK_SAMPLES", 3 * 2 * decimation)
-    sc = ChannelScenario(
-        baud_rate_hz=100e9, laser=LaserModel(1e6), mismatch=PathMismatch(delta_l_m), **receiver
-    )
     c = build_constellation(order, 1.0, 0.1)
+    sc = ChannelScenario(
+        baud_rate_hz=100e9, laser=LaserModel(1e6), mismatch=PathMismatch(delta_l_m),
+        n0=0.0 if snr_db is None else n0_from_snr_db(c, snr_db), pd_bandwidth_hz=pd_bandwidth_hz,
+    )
     drives = np.random.default_rng(order).uniform(-math.pi, math.pi, (7, 2)).tolist()
-    source = cpr._symbol_blocks(sc, c, 3, decimation, 2, sc.awgn_n0(c))
+    source = cpr._symbol_blocks(sc, c, 3, decimation, 2)
     next(source)
     got = np.array([source.send(tuple(drive)) for drive in drives])
     want = np.array(list(per_sample_blocks(sc, c, 3, decimation, 2, drives, chunk=3)))
@@ -351,11 +352,11 @@ def test_block_filtering_cost_does_not_grow_with_blocks(monkeypatch):
 
     monkeypatch.setattr(cpr, "one_pole_lowpass", counted)
     monkeypatch.setattr(cpr, "_loop_coefficients", counted_coefficients)
+    c = build_constellation(4, 1.0, 0.1)
     sc = ChannelScenario(
         baud_rate_hz=100e9, laser=LaserModel(1e6), mismatch=PathMismatch(0.1),
-        snr_db=19.0, pd_bandwidth_hz=50e9,
+        n0=n0_from_snr_db(c, 19.0), pd_bandwidth_hz=50e9,
     )
-    c = build_constellation(4, 1.0, 0.1)
     counts = {}
     for duration_s in (1e-6, 1e-5):
         calls.clear()
@@ -422,18 +423,19 @@ class TestSimulateLock:
         assert abs(rep.residual_rad) < math.radians(1.0)
 
     @pytest.mark.parametrize(
-        "receiver",
-        [{}, {"snr_db": 19.0, "pd_bandwidth_hz": 50e9}],
+        "snr_db, pd_bandwidth_hz",
+        [(None, None), (19.0, 50e9)],
         ids=["phase_noise_only", "awgn_pd_filter"],
     )
-    def test_lock_tracks_phase_noise(self, receiver):
+    def test_lock_tracks_phase_noise(self, snr_db, pd_bandwidth_hz):
         c = build_constellation(4, 1.0, 0.1)
         sc = ChannelScenario(
             baud_rate_hz=100e9,
             laser=LaserModel(1e6),
             mismatch=PathMismatch(0.1),
             phi_offset_rad=0.0,
-            **receiver,
+            n0=0.0 if snr_db is None else n0_from_snr_db(c, snr_db),
+            pd_bandwidth_hz=pd_bandwidth_hz,
         )
         rep = simulate_lock(sc, c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1e-4, seed=9)
         assert rep.locked
