@@ -15,6 +15,12 @@ thresholds, because the Q mean of symbol (a, b) at theta is bit for bit the
 I mean of symbol (b, a) at -theta, so on phase nodes symmetric about 0 (the
 Gauss-Kronrod nodes are) each Q term is the transposed symbol's I term.
 
+What depends only on the constellation and sigma (the nodes, the weights
+with the pdf folded in, the rotated means and their threshold distances) is
+one phase rule.  The last rule is kept for the next call with the same
+constellation object, sigma and QUAD_ORDER, so each point of a sweep or a
+bisection evaluates only its Gaussian tails.
+
 Two rate figures are provided on top of the symbol error rate:
 
 * ``ber_from_ser`` divides by log2(order) (one bit per symbol error),
@@ -99,29 +105,45 @@ def _tail_prob(n0: float):
     return lambda distance: 0.5 * erfc(distance / root)
 
 
-def _symbol_errors(c: OffsetQamConstellation, theta, n0: float):
-    """Per-axis (p_i, p_q) and symbol error probabilities of every symbol.
+def _threshold_distances(c: OffsetQamConstellation, means: np.ndarray) -> np.ndarray:
+    """Signed distances of the rotated I means (order, nodes) to their finite thresholds.
 
-    Each has shape (order, theta.size); I and Q errors combine as
-    p_i + p_q - p_i * p_q.  theta must be 1-D and symmetric about 0 (see _q_from_i).
+    Symbols s = ki * m + kq: the first m have no lower threshold, the last m
+    no upper.  The rows are mean - lower threshold for symbols m.., then
+    upper threshold - mean for symbols ..order - m; _tail_prob of a row is
+    the probability of crossing that threshold.
     """
-    x = _rotated_i(c, theta)
     m = c.side
-    # Symbols s = ki * m + kq: the first m have no lower bound, the last m no upper.
     t_lo = c.thresholds[c.level_indices[m:, 0] - 1, None]
     t_hi = c.thresholds[c.level_indices[:-m, 0], None]
-    tail = _tail_prob(n0)
-    below, above = tail(x[m:] - t_lo), tail(t_hi - x[:-m])
+    return np.concatenate((means[m:] - t_lo, t_hi - means[:-m]))
+
+
+def _symbol_errors(c: OffsetQamConstellation, distances: np.ndarray, n0: float):
+    """Per-axis (p_i, p_q) and symbol error probabilities of every symbol.
+
+    distances come from _threshold_distances at nodes symmetric about 0 (see
+    _q_from_i).  Each result has shape (order, nodes); I and Q errors
+    combine as p_i + p_q - p_i * p_q.
+    """
+    m, rows = c.side, c.order - c.side
+    tails = _tail_prob(n0)(distances)
+    below, above = tails[:rows], tails[rows:]
     p_i = np.concatenate((above[:m], below[:-m] + above[m:], below[-m:]))
     p_q = _q_from_i(c, p_i)
     return p_i, p_q, p_i + p_q - p_i * p_q
+
+
+def _errors_at(c: OffsetQamConstellation, theta, n0: float):
+    """_symbol_errors at 1-D theta symmetric about 0."""
+    return _symbol_errors(c, _threshold_distances(c, _rotated_i(c, theta)), n0)
 
 
 def axis_error_probabilities(
     c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
 ):
     """Conditional per-axis error probabilities (p_i, p_q) at phase theta."""
-    p_i, p_q, _ = _at_theta(lambda th: np.stack(_symbol_errors(c, th, env.n0)), theta)
+    p_i, p_q, _ = _at_theta(lambda th: np.stack(_errors_at(c, th, env.n0)), theta)
     return p_i[symbol_index], p_q[symbol_index]
 
 
@@ -129,7 +151,7 @@ def conditional_symbol_error(
     c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
 ):
     """P(symbol error | sent symbol, residual phase theta)."""
-    out = _at_theta(lambda th: _symbol_errors(c, th, env.n0)[2][symbol_index], theta)
+    out = _at_theta(lambda th: _errors_at(c, th, env.n0)[2][symbol_index], theta)
     return out if np.ndim(out) else float(out)
 
 
@@ -159,9 +181,12 @@ def _level_probabilities(c: OffsetQamConstellation, means: np.ndarray, n0: float
     )
 
 
-def _symbol_bit_errors(c: OffsetQamConstellation, theta, n0: float):
-    """Expected Gray bit flips of every symbol at 1-D theta symmetric about 0."""
-    p_level = _level_probabilities(c, _rotated_i(c, theta), n0)
+def _symbol_bit_errors(c: OffsetQamConstellation, means: np.ndarray, n0: float):
+    """Expected Gray bit flips of every symbol from its rotated I means (order, nodes).
+
+    The nodes must be symmetric about 0 (see _q_from_i).
+    """
+    p_level = _level_probabilities(c, means, n0)
     flips_i = np.einsum("skl,sl->sk", p_level, _hamming_table(c)[c.level_indices[:, 0]])
     return flips_i + _q_from_i(c, flips_i)
 
@@ -170,7 +195,9 @@ def conditional_bit_errors(
     c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
 ):
     """Expected Gray bit flips for one transmitted symbol at phase theta."""
-    total = _at_theta(lambda th: _symbol_bit_errors(c, th, env.n0)[symbol_index], theta)
+    total = _at_theta(
+        lambda th: _symbol_bit_errors(c, _rotated_i(c, th), env.n0)[symbol_index], theta
+    )
     return total if np.ndim(total) else float(total)
 
 
@@ -253,28 +280,77 @@ def _quad_nodes(order: int):
     return x, w, w_gauss
 
 
-def _integrate_over_phase(values_fn, sigma: float) -> float:
-    """Integral of values_fn(theta) against the Gaussian phase pdf.
+@dataclass(frozen=True, eq=False)
+class _PhaseRule:
+    """The phase integral of one constellation at one sigma: what no n0 changes.
 
-    values_fn maps the 1-D nodes theta to values of the same shape.  The pdf
-    is used un-wrapped on [-pi, pi]; for small sigma the window shrinks to
-    +/- 8 sigma where the integrand is supported.  One evaluation at the
-    Kronrod nodes gives the returned Kronrod sum and the QUAD_ORDER-point
-    Gauss sum over the embedded nodes, which must agree within QUAD_REL_TOL.
+    theta holds the nodes, symmetric about 0.  w_kronrod weighs every node
+    and w_gauss the check nodes theta[gauss]; both carry the half-width and
+    the Gaussian pdf.  means are every symbol's rotated I means at the nodes
+    and distances their _threshold_distances, so a point evaluates only its
+    tails.  At sigma = 0 the rule is the one node 0 with weight 1, its own check.
+    """
+
+    c: OffsetQamConstellation
+    sigma: float
+    quad_order: int
+    theta: np.ndarray
+    w_kronrod: np.ndarray
+    w_gauss: np.ndarray
+    gauss: slice
+    means: np.ndarray
+    distances: np.ndarray
+
+    def integrate(self, values: np.ndarray) -> float:
+        """Kronrod sum of values at theta, which the Gauss sum must match within QUAD_REL_TOL."""
+        fine = float((self.w_kronrod * values).sum())
+        coarse = float((self.w_gauss * values[self.gauss]).sum())
+        gap = abs(fine - coarse)
+        if gap > QUAD_REL_TOL * abs(fine) and gap > 1e-30:
+            raise ConvergenceError(f"phase quadrature did not converge: {coarse:.6g} vs {fine:.6g}")
+        return fine
+
+
+def _build_phase_rule(c: OffsetQamConstellation, sigma: float) -> _PhaseRule:
+    """The QUAD_ORDER Gauss-Kronrod rule against the Gaussian phase pdf.
+
+    The pdf is used un-wrapped on [-pi, pi]; for small sigma the window
+    shrinks to +/- 8 sigma where the integrand is supported.
     """
     if sigma == 0:
-        return float(values_fn(np.zeros(1))[0])
-    half_width = min(8.0 * sigma, math.pi)
-    x, w, w_gauss = _quad_nodes(QUAD_ORDER)
-    theta = x * half_width
-    pdf = np.exp(-(theta**2) / (2.0 * sigma**2)) / math.sqrt(2.0 * math.pi * sigma**2)
-    values = values_fn(theta)
-    fine = float((w * half_width * pdf * values).sum())
-    coarse = float((w_gauss * half_width * pdf[1::2] * values[1::2]).sum())
-    gap = abs(fine - coarse)
-    if gap > QUAD_REL_TOL * abs(fine) and gap > 1e-30:
-        raise ConvergenceError(f"phase quadrature did not converge: {coarse:.6g} vs {fine:.6g}")
-    return fine
+        theta, w_kronrod, w_gauss, gauss = np.zeros(1), np.ones(1), np.ones(1), slice(None)
+    else:
+        half_width = min(8.0 * sigma, math.pi)
+        x, w, w_legendre = _quad_nodes(QUAD_ORDER)
+        theta = x * half_width
+        pdf = np.exp(-(theta**2) / (2.0 * sigma**2)) / math.sqrt(2.0 * math.pi * sigma**2)
+        gauss = slice(1, None, 2)
+        w_kronrod, w_gauss = w * half_width * pdf, w_legendre * half_width * pdf[gauss]
+    means = _rotated_i(c, theta)
+    distances = _threshold_distances(c, means)
+    rule = _PhaseRule(c, sigma, QUAD_ORDER, theta, w_kronrod, w_gauss, gauss, means, distances)
+    for arr in (rule.theta, rule.w_kronrod, rule.w_gauss, rule.means, rule.distances):
+        arr.flags.writeable = False
+    return rule
+
+
+# The last rule built.  Consecutive error rates of one constellation at one
+# sigma (a sweep, a bisection) share it.  It holds the constellation itself,
+# not its id, which a new constellation could reuse.
+_last_rule: _PhaseRule | None = None
+
+
+def _phase_rule(c: OffsetQamConstellation, sigma: float) -> _PhaseRule:
+    """The rule of (c, sigma, QUAD_ORDER): the last one if it matches, else a new one.
+
+    An equal sigma of another type is a new rule, because np.float32 rounds differently.
+    """
+    global _last_rule
+    rule = _last_rule
+    key = (type(sigma), sigma, QUAD_ORDER)
+    if rule is None or rule.c is not c or (type(rule.sigma), rule.sigma, rule.quad_order) != key:
+        rule = _last_rule = _build_phase_rule(c, sigma)
+    return rule
 
 
 def _warn_if_wide(sigma_pn_rad: float, stacklevel: int):
@@ -293,17 +369,15 @@ def semi_analytic_ser(c: OffsetQamConstellation, env: NoiseEnvironment) -> float
     1 rad; larger values still compute but the wrapped tails are ignored.
     """
     _warn_if_wide(env.sigma_pn_rad, stacklevel=2)
-    return _integrate_over_phase(
-        lambda th: _symbol_errors(c, th, env.n0)[2].mean(axis=0), env.sigma_pn_rad
-    )
+    rule = _phase_rule(c, env.sigma_pn_rad)
+    return rule.integrate(_symbol_errors(c, rule.distances, env.n0)[2].mean(axis=0))
 
 
 def semi_analytic_ber(c: OffsetQamConstellation, env: NoiseEnvironment) -> float:
     """Exact Gray-coded bit error rate (expected bit flips / bits per symbol)."""
     _warn_if_wide(env.sigma_pn_rad, stacklevel=2)
-    bit_flips = _integrate_over_phase(
-        lambda th: _symbol_bit_errors(c, th, env.n0).mean(axis=0), env.sigma_pn_rad
-    )
+    rule = _phase_rule(c, env.sigma_pn_rad)
+    bit_flips = rule.integrate(_symbol_bit_errors(c, rule.means, env.n0).mean(axis=0))
     return bit_flips / c.bits_per_symbol
 
 
@@ -331,14 +405,14 @@ def monte_carlo_ber(c: OffsetQamConstellation, env: NoiseEnvironment, num_symbol
     if num_symbols < 10_000:
         raise ValueError("num_symbols must be >= 1e4 for a meaningful estimate")
     rng = stream_rng(seed, 0xBE7)
-    ham = _hamming_table(c)
+    m, ham = c.side, _hamming_table(c).ravel()  # ham[a * m + b]: flips from level a to b
     sym_errors = bit_errors = 0
     for start in range(0, num_symbols, MC_BLOCK_SYMBOLS):
         idx = rng.integers(0, c.order, min(MC_BLOCK_SYMBOLS, num_symbols - start))
-        ki, kq = c.level_indices[idx, 0], c.level_indices[idx, 1]
+        ki, kq = np.divmod(idx, m)  # symbol idx = ki * m + kq
         theta = rng.normal(0.0, env.sigma_pn_rad, idx.size) if env.sigma_pn_rad > 0 else 0.0
         x, y = add_awgn(rotate_symbol(c.levels[ki], c.levels[kq], c.a0, theta), env.n0, rng)
-        flips = ham[ki, decide_levels(c, x)] + ham[kq, decide_levels(c, y)]
+        flips = ham.take(ki * m + decide_levels(c, x)) + ham.take(kq * m + decide_levels(c, y))
         bit_errors += int(flips.sum())
         sym_errors += int(np.count_nonzero(flips))
 

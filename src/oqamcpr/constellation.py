@@ -29,8 +29,9 @@ class OffsetQamConstellation:
     points has shape (order, 2) holding absolute (i, q) coordinates,
     bit_map has shape (order, log2(order)) with the I sub-word first,
     thresholds holds the sqrt(order)-1 per-axis decision boundaries
-    (identical for both axes), and level_indices has shape (order, 2)
-    with the (i, q) level index of every point.
+    (identical for both axes), level_indices has shape (order, 2)
+    with the (i, q) level index of every point.  symbol_energy is the mean
+    of (I - a0)^2 + (Q - a0)^2 over all symbols.
     """
 
     order: int
@@ -41,6 +42,7 @@ class OffsetQamConstellation:
     bit_map: np.ndarray
     thresholds: np.ndarray
     level_indices: np.ndarray
+    symbol_energy: float
 
     @property
     def side(self) -> int:
@@ -90,6 +92,7 @@ def build_constellation(order: int, a_oma: float, a0: float) -> OffsetQamConstel
     bit_map = np.hstack((level_bits[ki], level_bits[kq]))
 
     thresholds = (levels[1:] + levels[:-1]) / 2 + a0
+    symbol_energy = float(np.mean(np.sum((points - float(a0)) ** 2, axis=1)))
 
     c = OffsetQamConstellation(
         order=order,
@@ -100,6 +103,7 @@ def build_constellation(order: int, a_oma: float, a0: float) -> OffsetQamConstel
         bit_map=bit_map,
         thresholds=thresholds,
         level_indices=np.column_stack((ki, kq)),
+        symbol_energy=symbol_energy,
     )
     for arr in (c.levels, c.points, c.bit_map, c.thresholds, c.level_indices):
         arr.setflags(write=False)
@@ -111,9 +115,9 @@ def average_symbol_energy(c: OffsetQamConstellation) -> float:
 
     Energy is measured about the constellation center, so it is invariant
     under the offset a0: order 4 gives a_oma^2 / 2, order 16 gives
-    5 a_oma^2 / 18.
+    5 a_oma^2 / 18.  Computed once, by build_constellation.
     """
-    return float(np.mean(np.sum((c.points - c.a0) ** 2, axis=1)))
+    return c.symbol_energy
 
 
 def n0_from_snr_db(c: OffsetQamConstellation, snr_db: float) -> float:

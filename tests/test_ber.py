@@ -357,6 +357,17 @@ def reference_symbol_bit_errors(c, theta, n0):
     return total
 
 
+def reference_phase_integral(values_fn, sigma):
+    """Kronrod sum of values_fn against the Gaussian phase pdf on +/- min(8 sigma, pi)."""
+    if sigma == 0:
+        return float(values_fn(np.zeros(1))[0])
+    half_width = min(8.0 * sigma, math.pi)
+    x, w, _ = ber_module._quad_nodes(ber_module.QUAD_ORDER)
+    theta = x * half_width
+    pdf = np.exp(-(theta**2) / (2.0 * sigma**2)) / math.sqrt(2.0 * math.pi * sigma**2)
+    return float((w * half_width * pdf * values_fn(theta)).sum())
+
+
 KERNEL_SIGMAS = (0.0, 0.02, 0.1)
 
 
@@ -377,40 +388,47 @@ class TestTransposedKernels:
     @pytest.mark.parametrize("sigma", KERNEL_SIGMAS)
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_kernels_equal_two_axis_reference(self, order, sigma):
+        # The kernels at the phase rule's nodes: x * 8 sigma, or the one node 0.
         c = build_constellation(order, 1.0, 0.3)
-        n0 = n0_from_snr_db(c, 15.0)
+        rule = ber_module._build_phase_rule(c, sigma)
         x = ber_module._quad_nodes(ber_module.QUAD_ORDER)[0]
-        for theta in [x * 8.0 * sigma] if sigma else [np.zeros(1)]:
-            for noise in (0.0, n0):
-                for got, want in zip(
-                    ber_module._symbol_errors(c, theta, noise),
-                    reference_symbol_errors(c, theta, noise),
-                ):
-                    assert np.array_equal(got, want)
-                assert np.array_equal(
-                    ber_module._symbol_bit_errors(c, theta, noise),
-                    reference_symbol_bit_errors(c, theta, noise),
-                )
+        assert np.array_equal(rule.theta, x * 8.0 * sigma if sigma else np.zeros(1))
+        for noise in (0.0, n0_from_snr_db(c, 15.0)):
+            for got, want in zip(
+                ber_module._symbol_errors(c, rule.distances, noise),
+                reference_symbol_errors(c, rule.theta, noise),
+            ):
+                assert np.array_equal(got, want)
+            assert np.array_equal(
+                ber_module._symbol_bit_errors(c, rule.means, noise),
+                reference_symbol_bit_errors(c, rule.theta, noise),
+            )
 
     @pytest.mark.parametrize("sigma", KERNEL_SIGMAS)
     @pytest.mark.parametrize("order", [4, 16, 64])
-    def test_rates_equal_two_axis_reference(self, monkeypatch, order, sigma):
+    def test_rates_equal_two_axis_reference(self, order, sigma):
+        # Every rate against the reference kernels integrated directly, with
+        # the weights in the order w * half_width * pdf: a wrong distance, tail
+        # assembly or weight in the phase rule changes the bits.
         c = build_constellation(order, 1.0, 0.3)
         grid = np.arange(10.0, 30.0, 2.0)
         envs = [NoiseEnvironment(n0_from_snr_db(c, snr), sigma) for snr in grid]
-
-        def rates():
-            return (
-                [semi_analytic_ser(c, env) for env in envs],
-                [semi_analytic_ber(c, env) for env in envs],
-                snr_sweep(c, sigma, grid).ser,
+        ser = [
+            reference_phase_integral(
+                lambda th: reference_symbol_errors(c, th, env.n0)[2].mean(axis=0), sigma
             )
-
-        got = rates()
-        monkeypatch.setattr(ber_module, "_symbol_errors", reference_symbol_errors)
-        monkeypatch.setattr(ber_module, "_symbol_bit_errors", reference_symbol_bit_errors)
-        for new, old in zip(got, rates()):
-            assert np.array_equal(new, old)
+            for env in envs
+        ]
+        ber = [
+            reference_phase_integral(
+                lambda th: reference_symbol_bit_errors(c, th, env.n0).mean(axis=0), sigma
+            )
+            / c.bits_per_symbol
+            for env in envs
+        ]
+        assert np.array_equal([semi_analytic_ser(c, env) for env in envs], ser)
+        assert np.array_equal([semi_analytic_ber(c, env) for env in envs], ber)
+        assert np.array_equal(snr_sweep(c, sigma, grid).ser, ser)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_entry_points_at_any_theta_equal_reference(self, order):
@@ -430,6 +448,79 @@ class TestTransposedKernels:
                         assert type(got) is float and got == flips[s, 0]
                     else:
                         assert np.array_equal(got, flips[s])
+
+
+class TestPhaseRule:
+    def test_built_once_per_sweep_and_per_bisection(self, monkeypatch):
+        built = []
+        build = ber_module._build_phase_rule
+
+        def counting(c, sigma):
+            built.append((c, sigma))
+            return build(c, sigma)
+
+        monkeypatch.setattr(ber_module, "_build_phase_rule", counting)
+        c16, c4 = build_constellation(16, 1.0, 0.1), build_constellation(4, 1.0, 0.1)
+        snr_sweep(c16, 0.05, np.arange(10.0, 24.0, 0.5))
+        assert built == [(c16, 0.05)]
+        required_snr_db(c4, 0.1)
+        assert built == [(c16, 0.05), (c4, 0.1)]
+        # Consecutive calls on the same constellation and sigma share the rule.
+        required_snr_db(c4, 0.1)
+        snr_sweep(c4, 0.1, [10.0, 12.0])
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("switch", ["a0", "new_constellation", "sigma", "sigma_type", "order"])
+    def test_alternating_calls_equal_fresh_calls(self, monkeypatch, switch):
+        # Each state is (constellation factory, sigma, QUAD_ORDER); the two
+        # states differ in one of them, and a stale rule would give the other
+        # state's rates.  "new_constellation" builds a constellation for every
+        # call, so a rule kept by id could match a new object at a reused address.
+        c_lo, c_hi = build_constellation(16, 1.0, 0.1), build_constellation(16, 1.0, 0.3)
+        order = ber_module.QUAD_ORDER
+        states = {
+            "a0": [(lambda: c_lo, 0.05, order), (lambda: c_hi, 0.05, order)],
+            "new_constellation": [
+                (lambda: build_constellation(16, 1.0, 0.1), 0.05, order),
+                (lambda: build_constellation(16, 1.0, 0.3), 0.05, order),
+            ],
+            "sigma": [(lambda: c_lo, 0.05, order), (lambda: c_lo, 0.1, order)],
+            "sigma_type": [(lambda: c_lo, 0.5, order), (lambda: c_lo, np.float32(0.5), order)],
+            "order": [(lambda: c_lo, 0.05, order), (lambda: c_lo, 0.05, 20)],
+        }[switch]
+        n0 = n0_from_snr_db(c_lo, 16.0)
+
+        def rates(state):
+            make_c, sigma, quad_order = state
+            monkeypatch.setattr(ber_module, "QUAD_ORDER", quad_order)
+            env = NoiseEnvironment(n0, sigma)
+            return semi_analytic_ser(make_c(), env), semi_analytic_ber(make_c(), env)
+
+        def fresh(state):
+            monkeypatch.setattr(ber_module, "_last_rule", None)
+            return rates(state)
+
+        want = [fresh(state) for state in states]
+        assert want[0][0] != want[1][0] and want[0][1] != want[1][1]
+        for i in range(6):
+            assert rates(states[i % 2]) == want[i % 2], i
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.0555, 0.3])
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_sweep_equals_fresh_points(self, monkeypatch, order, sigma):
+        c = build_constellation(order, 1.0, 0.1)
+        grid = np.arange(4.0, 30.5, 0.5)
+        fresh = []
+        for snr in grid:
+            monkeypatch.setattr(ber_module, "_last_rule", None)
+            fresh.append(semi_analytic_ser(c, NoiseEnvironment(n0_from_snr_db(c, snr), sigma)))
+        assert np.array_equal(snr_sweep(c, sigma, grid).ser, fresh)
+
+    def test_rule_is_read_only(self):
+        rule = ber_module._build_phase_rule(build_constellation(4, 1.0, 0.1), 0.05)
+        for arr in (rule.theta, rule.w_kronrod, rule.w_gauss, rule.means, rule.distances):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestBerFromSer:
