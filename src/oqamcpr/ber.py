@@ -27,7 +27,9 @@ Two rate figures are provided on top of the symbol error rate:
   the convention used for the bundled sweep reports;
 * ``semi_analytic_ber`` counts expected Gray-coded bit flips per axis
   exactly, which is what the Monte Carlo path measures and what the
-  classic QPSK/16-QAM closed forms describe.
+  classic QPSK/16-QAM closed forms describe.  Each threshold adds its
+  Gray bit step times the tail at its signed distance, the SER's
+  distance convention, so no decision-region probability is formed.
 
 A seeded Monte Carlo oracle cross-checks both.  scipy (for erfc) loads
 on the first error rate with AWGN (n0 > 0); at n0 = 0 the tails are steps.
@@ -64,6 +66,8 @@ class NoiseEnvironment:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or not value >= 0:
                 raise ValueError(f"{name} must be a real scalar >= 0, got {value!r}")
+            # A Python float, so that an np.float32 gives the same rates as its value.
+            object.__setattr__(self, name, float(value))
 
 
 def _rotated_i(c: OffsetQamConstellation, theta):
@@ -161,33 +165,21 @@ def _hamming_table(c: OffsetQamConstellation) -> np.ndarray:
     return (bits[:, None] != bits[None, :]).sum(axis=-1).astype(float)
 
 
-def _level_probabilities(c: OffsetQamConstellation, means: np.ndarray, n0: float):
-    """P(decided level | rotated mean) along one axis.
-
-    means has shape (order, nodes); the result appends a level axis of size
-    sqrt(order).  P(level j) = P(mean + noise lands in region j), taken
-    from the lower tails P(x < t) for a region below the mean, from the
-    upper tails P(x > t) for a region above it, and as 1 minus both for
-    the region that holds it, so no tail is lost against 1.
-    """
-    m = means[..., None]
-    t_lo, t_hi = np.append(-np.inf, c.thresholds), np.append(c.thresholds, np.inf)
-    # P(crossing a threshold away from the mean): P(x < t) for one below
-    # the mean, P(x > t) for one above it; 0 at the infinite outer bounds.
-    out = np.pad(_tail_prob(n0)(np.abs(m - c.thresholds)), ((0, 0), (0, 0), (1, 1)))
-    out_lo, out_hi = out[..., :-1], out[..., 1:]
-    return np.where(
-        t_hi <= m, out_hi - out_lo, np.where(t_lo > m, out_lo - out_hi, 1.0 - out_lo - out_hi)
-    )
-
-
 def _symbol_bit_errors(c: OffsetQamConstellation, means: np.ndarray, n0: float):
     """Expected Gray bit flips of every symbol from its rotated I means (order, nodes).
 
-    The nodes must be symmetric about 0 (see _q_from_i).
+    Along one axis a symbol at level k flips sum_j g_j * tail(d_j) bits (Cho
+    & Yoon, IEEE Trans. Commun. 50(7), 2002).  d_j is the signed distance
+    from the mean to threshold t_j, positive on level k's side: t_j - mean at
+    or above k, mean - t_j below it, as in _threshold_distances.  g_j =
+    +-(ham[k, j+1] - ham[k, j]) counts the Gray bits gained by crossing t_j
+    away from k.  The nodes must be symmetric about 0 (see _q_from_i).
     """
-    p_level = _level_probabilities(c, means, n0)
-    flips_i = np.einsum("skl,sl->sk", p_level, _hamming_table(c)[c.level_indices[:, 0]])
+    k = c.level_indices[:, 0]
+    sign = np.where(np.arange(c.side - 1) >= k[:, None], 1.0, -1.0)  # (order, thresholds)
+    gain = sign * np.diff(_hamming_table(c)[k], axis=1)
+    tails = _tail_prob(n0)(sign.T[:, :, None] * (c.thresholds[:, None, None] - means))
+    flips_i = (gain.T[:, :, None] * tails).sum(axis=0)
     return flips_i + _q_from_i(c, flips_i)
 
 
@@ -341,14 +333,10 @@ _last_rule: _PhaseRule | None = None
 
 
 def _phase_rule(c: OffsetQamConstellation, sigma: float) -> _PhaseRule:
-    """The rule of (c, sigma, QUAD_ORDER): the last one if it matches, else a new one.
-
-    An equal sigma of another type is a new rule, because np.float32 rounds differently.
-    """
+    """The rule of (c, sigma, QUAD_ORDER): the last one if it matches, else a new one."""
     global _last_rule
     rule = _last_rule
-    key = (type(sigma), sigma, QUAD_ORDER)
-    if rule is None or rule.c is not c or (type(rule.sigma), rule.sigma, rule.quad_order) != key:
+    if rule is None or rule.c is not c or (rule.sigma, rule.quad_order) != (sigma, QUAD_ORDER):
         rule = _last_rule = _build_phase_rule(c, sigma)
     return rule
 

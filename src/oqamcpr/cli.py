@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, phasenoise
-from .ber import snr_sweep
+from .ber import KP4_BER_THRESHOLD, snr_sweep
 from .channel import received_trace
 from .config import ScenarioConfig, load_config, sweep_variants, validate_config
 from .cpr import simulate_lock
@@ -133,7 +133,14 @@ def _run_ber(sc: ScenarioConfig) -> Table:
     metrics = {**sweep.metadata, "fec_threshold_snr_db": sweep.fec_threshold_snr_db}
     notes = []
     if sweep.fec_threshold_snr_db is None:
-        notes.append("fec_threshold: grid never crosses the KP4 error floor")
+        # Log-linear interpolation has no value at a BER of 0.
+        drop = np.flatnonzero((sweep.ber[:-1] > KP4_BER_THRESHOLD) & (sweep.ber[1:] == 0))
+        if drop.size:
+            lo, hi = sweep.snr_db[drop[0]], sweep.snr_db[drop[0] + 1]
+            notes.append(f"fec_threshold: BER reaches 0 between Es/N0 {lo:g} and {hi:g} dB; "
+                         "the grid needs a finer step to place the KP4 crossing")
+        else:
+            notes.append("fec_threshold: grid never crosses the KP4 error floor")
     constants = (c.order, c.m_ratio, scen.laser.linewidth_hz,
                  scen.mismatch.delta_l_m, loop_bw if loop_bw is not None else math.nan)
     header = ("snr_db", "ber", "ser", "order", "m_ratio", "linewidth_hz",

@@ -158,6 +158,7 @@ class TestNoiseEnvironment:
     def test_accepts_python_and_numpy_scalars(self, value):
         env = NoiseEnvironment(value, value)
         assert env.n0 == value and env.sigma_pn_rad == value
+        assert type(env.n0) is float and type(env.sigma_pn_rad) is float
 
     def test_accepts_infinite_n0(self):
         c = build_constellation(4, 1.0, 0.1)
@@ -304,8 +305,17 @@ class TestQuadNodes:
 
 
 # The two-axis kernels written directly: every tail of both axes, the
-# infinite outer bounds included, at any theta.  The module's kernels must
-# equal them bit for bit.
+# infinite outer bounds included, at any theta.  The module's error kernels
+# must equal them bit for bit.  The bit-flip reference sums level
+# probabilities, where the module sums threshold steps: an equally exact
+# but different arithmetic, so those compare within BIT_REL_TOL.
+
+BIT_REL_TOL = 1e-14
+
+
+def assert_bits_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=BIT_REL_TOL, atol=0)
+
 
 def reference_rotated_means(c, theta):
     th = np.asarray(theta, dtype=float)
@@ -339,10 +349,16 @@ def reference_symbol_errors(c, theta, n0):
     return p_i, p_q, p_i + p_q - p_i * p_q
 
 
+def reference_hamming_table(c):
+    """ham[a, b]: bits that differ between the Gray words a ^ (a >> 1) and b ^ (b >> 1)."""
+    gray = [k ^ (k >> 1) for k in range(c.side)]
+    return np.array([[bin(a ^ b).count("1") for b in gray] for a in gray], dtype=float)
+
+
 def reference_symbol_bit_errors(c, theta, n0):
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     t_lo, t_hi = reference_bounds(c)
-    ham = ber_module._hamming_table(c)
+    ham = reference_hamming_table(c)
     total = np.zeros((c.order,) + theta.shape)
     for means, k_true in zip(reference_rotated_means(c, theta), c.level_indices.T):
         m = means[..., None]
@@ -386,7 +402,7 @@ class TestTransposedKernels:
             assert np.array_equal(np.sin(theta[::-1]), -np.sin(theta))
 
     @pytest.mark.parametrize("sigma", KERNEL_SIGMAS)
-    @pytest.mark.parametrize("order", [4, 16, 64])
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
     def test_kernels_equal_two_axis_reference(self, order, sigma):
         # The kernels at the phase rule's nodes: x * 8 sigma, or the one node 0.
         c = build_constellation(order, 1.0, 0.3)
@@ -399,10 +415,20 @@ class TestTransposedKernels:
                 reference_symbol_errors(c, rule.theta, noise),
             ):
                 assert np.array_equal(got, want)
-            assert np.array_equal(
+            assert_bits_close(
                 ber_module._symbol_bit_errors(c, rule.means, noise),
                 reference_symbol_bit_errors(c, rule.theta, noise),
             )
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1, 0.5])
+    def test_4qam_bit_errors_are_axis_errors(self, sigma):
+        # At 4-QAM each axis has one threshold worth one Gray bit, so the
+        # expected flips are p_i + p_q, also where rotated means cross it.
+        c = build_constellation(4, 1.0, 0.3)
+        rule = ber_module._build_phase_rule(c, sigma)
+        for noise in (0.0, n0_from_snr_db(c, 6.0), n0_from_snr_db(c, 15.0), math.inf):
+            p_i, p_q, _ = ber_module._symbol_errors(c, rule.distances, noise)
+            assert np.array_equal(ber_module._symbol_bit_errors(c, rule.means, noise), p_i + p_q)
 
     @pytest.mark.parametrize("sigma", KERNEL_SIGMAS)
     @pytest.mark.parametrize("order", [4, 16, 64])
@@ -427,7 +453,7 @@ class TestTransposedKernels:
             for env in envs
         ]
         assert np.array_equal([semi_analytic_ser(c, env) for env in envs], ser)
-        assert np.array_equal([semi_analytic_ber(c, env) for env in envs], ber)
+        assert_bits_close([semi_analytic_ber(c, env) for env in envs], ber)
         assert np.array_equal(snr_sweep(c, sigma, grid).ser, ser)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
@@ -445,9 +471,11 @@ class TestTransposedKernels:
                     assert np.array_equal(conditional_symbol_error(c, s, theta, env), p_e[s])
                     got = conditional_bit_errors(c, s, theta, env)
                     if np.ndim(theta) == 0:
-                        assert type(got) is float and got == flips[s, 0]
+                        assert type(got) is float
+                        assert_bits_close(got, flips[s, 0])
                     else:
-                        assert np.array_equal(got, flips[s])
+                        assert np.shape(got) == np.shape(theta)
+                        assert_bits_close(got, flips[s])
 
 
 class TestPhaseRule:
@@ -476,6 +504,8 @@ class TestPhaseRule:
         # states differ in one of them, and a stale rule would give the other
         # state's rates.  "new_constellation" builds a constellation for every
         # call, so a rule kept by id could match a new object at a reused address.
+        # "sigma_type" is the exception: NoiseEnvironment stores sigma as a
+        # Python float, so np.float32(0.5) shares the rule and the rates of 0.5.
         c_lo, c_hi = build_constellation(16, 1.0, 0.1), build_constellation(16, 1.0, 0.3)
         order = ber_module.QUAD_ORDER
         states = {
@@ -501,9 +531,23 @@ class TestPhaseRule:
             return rates(state)
 
         want = [fresh(state) for state in states]
-        assert want[0][0] != want[1][0] and want[0][1] != want[1][1]
+        if switch == "sigma_type":
+            assert want[0] == want[1]
+        else:
+            assert want[0][0] != want[1][0] and want[0][1] != want[1][1]
+        built = []
+        build = ber_module._build_phase_rule
+
+        def counting(c, sigma):
+            built.append(sigma)
+            return build(c, sigma)
+
+        monkeypatch.setattr(ber_module, "_last_rule", None)
+        monkeypatch.setattr(ber_module, "_build_phase_rule", counting)
         for i in range(6):
             assert rates(states[i % 2]) == want[i % 2], i
+        if switch == "sigma_type":
+            assert built == [0.5] and type(built[0]) is float
 
     @pytest.mark.parametrize("sigma", [0.0, 0.0555, 0.3])
     @pytest.mark.parametrize("order", [4, 16, 64])

@@ -458,6 +458,23 @@ class TestRunOutputs:
         assert header == ["time_s", "psi_rad", "delta_phi_rad", "error_v"]
         assert result.metrics["residual_rad"] is not None
 
+    @pytest.mark.parametrize("order, grid, span", [
+        (4, [10, 40], "Es/N0 10 and 40 dB"),
+        (16, [16, 1e308], "Es/N0 16 and 1e+308 dB"),
+    ], ids=["4qam", "16qam-to-1e308"])
+    def test_grid_stepping_over_the_floor_onto_zero_ber_is_noted(self, tmp_path, order, grid, span):
+        # erfc underflows, so the BER drops from above KP4 to 0 in one step,
+        # where a log-linear crossing has no value: the crossing stays absent.
+        cfg = {"modulation": {"order": order}, "run": {"mode": "ber-sweep", "snr_grid_db": grid}}
+        result = run_scenario(cfg, output_dir=str(tmp_path))
+        _, cols = read_csv(result.files[0])
+        assert cols["ber"][0] > ber.KP4_BER_THRESHOLD and cols["ber"][1] == 0.0
+        assert result.metrics["fec_threshold_snr_db"] is None
+        assert result.notes == [
+            f"fec_threshold: BER reaches 0 between {span}; "
+            "the grid needs a finer step to place the KP4 crossing"
+        ]
+
     def test_manifest_reproducibility(self, tmp_path):
         first = run_scenario(BER_CFG, output_dir=str(tmp_path / "a"))
         manifest = json.loads(first.manifest.read_text())
