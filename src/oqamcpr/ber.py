@@ -15,11 +15,11 @@ thresholds, because the Q mean of symbol (a, b) at theta is bit for bit the
 I mean of symbol (b, a) at -theta, so on phase nodes symmetric about 0 (the
 Gauss-Kronrod nodes are) each Q term is the transposed symbol's I term.
 
-What depends only on the constellation and sigma (the nodes, the weights
-with the pdf folded in, the rotated means and their threshold distances) is
-one phase rule.  The last rule is kept for the next call with the same
-constellation object, sigma and QUAD_ORDER, so each point of a sweep or a
-bisection evaluates only its Gaussian tails.
+What depends only on the constellation and sigma (the nodes, the Kronrod
+and Gauss weights with the pdf folded in, the rotated means and their
+threshold distances) is one phase rule.  _phase_rule caches the last one,
+keyed on the constellation object, sigma and QUAD_ORDER, so each point of a
+sweep or a bisection evaluates only its Gaussian tails.
 
 Two rate figures are provided on top of the symbol error rate:
 
@@ -276,68 +276,50 @@ def _quad_nodes(order: int):
 class _PhaseRule:
     """The phase integral of one constellation at one sigma: what no n0 changes.
 
-    theta holds the nodes, symmetric about 0.  w_kronrod weighs every node
-    and w_gauss the check nodes theta[gauss]; both carry the half-width and
-    the Gaussian pdf.  means are every symbol's rotated I means at the nodes
-    and distances their _threshold_distances, so a point evaluates only its
-    tails.  At sigma = 0 the rule is the one node 0 with weight 1, its own check.
+    theta holds the nodes, symmetric about 0.  weights[0] are the Kronrod
+    weights, weights[1] the Gauss weights at theta[1::2] and 0 elsewhere, both
+    times the half-width and the Gaussian pdf.  means are every symbol's
+    rotated I means at the nodes and distances their _threshold_distances, so
+    a point evaluates only its tails.  At sigma = 0: node 0, weights 1.
     """
 
-    c: OffsetQamConstellation
-    sigma: float
-    quad_order: int
     theta: np.ndarray
-    w_kronrod: np.ndarray
-    w_gauss: np.ndarray
-    gauss: slice
+    weights: np.ndarray
     means: np.ndarray
     distances: np.ndarray
 
     def integrate(self, values: np.ndarray) -> float:
         """Kronrod sum of values at theta, which the Gauss sum must match within QUAD_REL_TOL."""
-        fine = float((self.w_kronrod * values).sum())
-        coarse = float((self.w_gauss * values[self.gauss]).sum())
+        fine, coarse = (self.weights * values).sum(axis=1).tolist()
         gap = abs(fine - coarse)
         if gap > QUAD_REL_TOL * abs(fine) and gap > 1e-30:
             raise ConvergenceError(f"phase quadrature did not converge: {coarse:.6g} vs {fine:.6g}")
         return fine
 
 
-def _build_phase_rule(c: OffsetQamConstellation, sigma: float) -> _PhaseRule:
-    """The QUAD_ORDER Gauss-Kronrod rule against the Gaussian phase pdf.
+# A sweep or a bisection shares one rule.  The key holds the constellation
+# itself, not its id, which a new constellation could reuse.
+@functools.lru_cache(maxsize=1)
+def _phase_rule(c: OffsetQamConstellation, sigma: float, quad_order: int) -> _PhaseRule:
+    """The quad_order Gauss-Kronrod rule against the Gaussian phase pdf.
 
     The pdf is used un-wrapped on [-pi, pi]; for small sigma the window
     shrinks to +/- 8 sigma where the integrand is supported.
     """
     if sigma == 0:
-        theta, w_kronrod, w_gauss, gauss = np.zeros(1), np.ones(1), np.ones(1), slice(None)
+        theta, weights = np.zeros(1), np.ones((2, 1))
     else:
         half_width = min(8.0 * sigma, math.pi)
-        x, w, w_legendre = _quad_nodes(QUAD_ORDER)
+        x, w, w_legendre = _quad_nodes(quad_order)
         theta = x * half_width
         pdf = np.exp(-(theta**2) / (2.0 * sigma**2)) / math.sqrt(2.0 * math.pi * sigma**2)
-        gauss = slice(1, None, 2)
-        w_kronrod, w_gauss = w * half_width * pdf, w_legendre * half_width * pdf[gauss]
+        weights = np.zeros((2, x.size))
+        weights[0] = w * half_width * pdf
+        weights[1, 1::2] = w_legendre * half_width * pdf[1::2]
     means = _rotated_i(c, theta)
-    distances = _threshold_distances(c, means)
-    rule = _PhaseRule(c, sigma, QUAD_ORDER, theta, w_kronrod, w_gauss, gauss, means, distances)
-    for arr in (rule.theta, rule.w_kronrod, rule.w_gauss, rule.means, rule.distances):
+    rule = _PhaseRule(theta, weights, means, _threshold_distances(c, means))
+    for arr in (rule.theta, rule.weights, rule.means, rule.distances):
         arr.flags.writeable = False
-    return rule
-
-
-# The last rule built.  Consecutive error rates of one constellation at one
-# sigma (a sweep, a bisection) share it.  It holds the constellation itself,
-# not its id, which a new constellation could reuse.
-_last_rule: _PhaseRule | None = None
-
-
-def _phase_rule(c: OffsetQamConstellation, sigma: float) -> _PhaseRule:
-    """The rule of (c, sigma, QUAD_ORDER): the last one if it matches, else a new one."""
-    global _last_rule
-    rule = _last_rule
-    if rule is None or rule.c is not c or (rule.sigma, rule.quad_order) != (sigma, QUAD_ORDER):
-        rule = _last_rule = _build_phase_rule(c, sigma)
     return rule
 
 
@@ -357,14 +339,14 @@ def semi_analytic_ser(c: OffsetQamConstellation, env: NoiseEnvironment) -> float
     1 rad; larger values still compute but the wrapped tails are ignored.
     """
     _warn_if_wide(env.sigma_pn_rad, stacklevel=2)
-    rule = _phase_rule(c, env.sigma_pn_rad)
+    rule = _phase_rule(c, env.sigma_pn_rad, QUAD_ORDER)
     return rule.integrate(_symbol_errors(c, rule.distances, env.n0)[2].mean(axis=0))
 
 
 def semi_analytic_ber(c: OffsetQamConstellation, env: NoiseEnvironment) -> float:
     """Exact Gray-coded bit error rate (expected bit flips / bits per symbol)."""
     _warn_if_wide(env.sigma_pn_rad, stacklevel=2)
-    rule = _phase_rule(c, env.sigma_pn_rad)
+    rule = _phase_rule(c, env.sigma_pn_rad, QUAD_ORDER)
     bit_flips = rule.integrate(_symbol_bit_errors(c, rule.means, env.n0).mean(axis=0))
     return bit_flips / c.bits_per_symbol
 

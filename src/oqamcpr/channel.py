@@ -68,6 +68,9 @@ class PathMismatch:
             raise ValueError(f"delta_l_m must be >= 0, got {self.delta_l_m}")
         if self.refractive_index <= 0:
             raise ValueError("refractive_index must be > 0")
+        if not math.isfinite(self.tau_s):
+            raise ValueError(f"mismatch.delta_l_m = {self.delta_l_m:g} at refractive index "
+                             f"{self.refractive_index:g} gives a delay past the float range")
 
     @property
     def tau_s(self) -> float:
@@ -107,7 +110,11 @@ def delay_in_samples(tau_s: float, dt_s: float) -> int:
     """
     if tau_s == 0:
         return 0
-    d = int(round(tau_s / dt_s))
+    samples = tau_s / dt_s
+    if not math.isfinite(samples):
+        raise ValueError(f"the mismatch delay tau={tau_s:g} (from mismatch.delta_l_m) "
+                         f"is not a finite number of dt_s={dt_s:g} samples")
+    d = int(round(samples))
     exact = abs(d * dt_s - tau_s) <= 1e-9 * tau_s and d >= 1
     if dt_s > tau_s / 4 and not exact:
         raise ValueError(

@@ -66,7 +66,8 @@ def build_constellation(order: int, a_oma: float, a0: float) -> OffsetQamConstel
         a0: center offset applied equally to I and Q, >= 0.
 
     Raises:
-        ValueError: unsupported order, non-positive a_oma, or negative a0.
+        ValueError: unsupported order, non-positive a_oma, negative a0, or a
+            symbol energy (Es/N0 divides by it) outside the normal floats.
     """
     if order not in SUPPORTED_ORDERS:
         raise ValueError(
@@ -92,7 +93,13 @@ def build_constellation(order: int, a_oma: float, a0: float) -> OffsetQamConstel
     bit_map = np.hstack((level_bits[ki], level_bits[kq]))
 
     thresholds = (levels[1:] + levels[:-1]) / 2 + a0
-    symbol_energy = float(np.mean(np.sum((points - float(a0)) ** 2, axis=1)))
+    with np.errstate(over="ignore"):
+        symbol_energy = float(np.mean(np.sum((points - float(a0)) ** 2, axis=1)))
+    if not np.finfo(float).tiny <= symbol_energy < math.inf:
+        raise ValueError(
+            f"modulation.a_oma = {a_oma:g} gives the symbol energy {symbol_energy:g}, "
+            "outside the normal float range"
+        )
 
     c = OffsetQamConstellation(
         order=order,

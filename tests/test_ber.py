@@ -406,7 +406,7 @@ class TestTransposedKernels:
     def test_kernels_equal_two_axis_reference(self, order, sigma):
         # The kernels at the phase rule's nodes: x * 8 sigma, or the one node 0.
         c = build_constellation(order, 1.0, 0.3)
-        rule = ber_module._build_phase_rule(c, sigma)
+        rule = ber_module._phase_rule(c, sigma, ber_module.QUAD_ORDER)
         x = ber_module._quad_nodes(ber_module.QUAD_ORDER)[0]
         assert np.array_equal(rule.theta, x * 8.0 * sigma if sigma else np.zeros(1))
         for noise in (0.0, n0_from_snr_db(c, 15.0)):
@@ -425,7 +425,7 @@ class TestTransposedKernels:
         # At 4-QAM each axis has one threshold worth one Gray bit, so the
         # expected flips are p_i + p_q, also where rotated means cross it.
         c = build_constellation(4, 1.0, 0.3)
-        rule = ber_module._build_phase_rule(c, sigma)
+        rule = ber_module._phase_rule(c, sigma, ber_module.QUAD_ORDER)
         for noise in (0.0, n0_from_snr_db(c, 6.0), n0_from_snr_db(c, 15.0), math.inf):
             p_i, p_q, _ = ber_module._symbol_errors(c, rule.distances, noise)
             assert np.array_equal(ber_module._symbol_bit_errors(c, rule.means, noise), p_i + p_q)
@@ -478,25 +478,25 @@ class TestTransposedKernels:
                         assert_bits_close(got, flips[s])
 
 
+def rule_builds():
+    return ber_module._phase_rule.cache_info().misses
+
+
 class TestPhaseRule:
-    def test_built_once_per_sweep_and_per_bisection(self, monkeypatch):
-        built = []
-        build = ber_module._build_phase_rule
+    def test_cache_holds_one_rule(self):
+        assert ber_module._phase_rule.cache_info().maxsize == 1
 
-        def counting(c, sigma):
-            built.append((c, sigma))
-            return build(c, sigma)
-
-        monkeypatch.setattr(ber_module, "_build_phase_rule", counting)
+    def test_built_once_per_sweep_and_per_bisection(self):
+        ber_module._phase_rule.cache_clear()
         c16, c4 = build_constellation(16, 1.0, 0.1), build_constellation(4, 1.0, 0.1)
         snr_sweep(c16, 0.05, np.arange(10.0, 24.0, 0.5))
-        assert built == [(c16, 0.05)]
+        assert rule_builds() == 1
         required_snr_db(c4, 0.1)
-        assert built == [(c16, 0.05), (c4, 0.1)]
+        assert rule_builds() == 2
         # Consecutive calls on the same constellation and sigma share the rule.
         required_snr_db(c4, 0.1)
         snr_sweep(c4, 0.1, [10.0, 12.0])
-        assert len(built) == 2
+        assert rule_builds() == 2
 
     @pytest.mark.parametrize("switch", ["a0", "new_constellation", "sigma", "sigma_type", "order"])
     def test_alternating_calls_equal_fresh_calls(self, monkeypatch, switch):
@@ -527,7 +527,7 @@ class TestPhaseRule:
             return semi_analytic_ser(make_c(), env), semi_analytic_ber(make_c(), env)
 
         def fresh(state):
-            monkeypatch.setattr(ber_module, "_last_rule", None)
+            ber_module._phase_rule.cache_clear()
             return rates(state)
 
         want = [fresh(state) for state in states]
@@ -535,36 +535,50 @@ class TestPhaseRule:
             assert want[0] == want[1]
         else:
             assert want[0][0] != want[1][0] and want[0][1] != want[1][1]
-        built = []
-        build = ber_module._build_phase_rule
-
-        def counting(c, sigma):
-            built.append(sigma)
-            return build(c, sigma)
-
-        monkeypatch.setattr(ber_module, "_last_rule", None)
-        monkeypatch.setattr(ber_module, "_build_phase_rule", counting)
+        ber_module._phase_rule.cache_clear()
         for i in range(6):
             assert rates(states[i % 2]) == want[i % 2], i
         if switch == "sigma_type":
-            assert built == [0.5] and type(built[0]) is float
+            assert rule_builds() == 1
+        elif switch == "new_constellation":
+            assert rule_builds() == 12  # two calls, each with its own constellation
+        else:
+            assert rule_builds() == 6
 
     @pytest.mark.parametrize("sigma", [0.0, 0.0555, 0.3])
     @pytest.mark.parametrize("order", [4, 16, 64])
-    def test_sweep_equals_fresh_points(self, monkeypatch, order, sigma):
+    def test_sweep_equals_fresh_points(self, order, sigma):
         c = build_constellation(order, 1.0, 0.1)
         grid = np.arange(4.0, 30.5, 0.5)
         fresh = []
         for snr in grid:
-            monkeypatch.setattr(ber_module, "_last_rule", None)
+            ber_module._phase_rule.cache_clear()
             fresh.append(semi_analytic_ser(c, NoiseEnvironment(n0_from_snr_db(c, snr), sigma)))
         assert np.array_equal(snr_sweep(c, sigma, grid).ser, fresh)
 
     def test_rule_is_read_only(self):
-        rule = ber_module._build_phase_rule(build_constellation(4, 1.0, 0.1), 0.05)
-        for arr in (rule.theta, rule.w_kronrod, rule.w_gauss, rule.means, rule.distances):
+        rule = ber_module._phase_rule(build_constellation(4, 1.0, 0.1), 0.05, ber_module.QUAD_ORDER)
+        for arr in (rule.theta, rule.weights, rule.means, rule.distances):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.0555, 0.3, 1.0])
+    def test_weights_are_kronrod_over_gauss(self, sigma):
+        # Row 0 holds the Kronrod weights, row 1 the embedded Gauss weights at
+        # x[1::2] and 0 elsewhere, both times the half-width and the pdf.
+        order = ber_module.QUAD_ORDER
+        rule = ber_module._phase_rule(build_constellation(16, 1.0, 0.1), sigma, order)
+        if sigma == 0:
+            assert np.array_equal(rule.weights, np.ones((2, 1)))
+            return
+        x, w, w_gauss = ber_module._quad_nodes(order)
+        half_width = min(8.0 * sigma, math.pi)
+        theta = x * half_width
+        pdf = np.exp(-(theta**2) / (2.0 * sigma**2)) / math.sqrt(2.0 * math.pi * sigma**2)
+        assert rule.weights.shape == (2, x.size)
+        assert np.array_equal(rule.weights[0], w * half_width * pdf)
+        assert np.array_equal(rule.weights[1, 1::2], w_gauss * half_width * pdf[1::2])
+        assert not rule.weights[1, ::2].any()
 
 
 class TestBerFromSer:

@@ -107,6 +107,27 @@ BAD_INPUTS = [
         for mode in ("psd", "ber-sweep")
         for delta_l_m in (1e-200, 1e-290)
     ),
+    # Es/N0 divides by the symbol energy, which must be a normal finite float.
+    *(
+        pytest.param({"modulation": {"a_oma": a_oma},
+                      "run": {"mode": "ber-sweep", "snr_grid_db": [4, 10, 12, 16]}},
+                     "modulation.a_oma", id=f"ber-sweep-a_oma-{a_oma:g}")
+        for a_oma in (1e-300, 1e300)
+    ),
+    # A mismatch delay that is not a finite float, or not a finite number of samples.
+    *(
+        pytest.param({"laser": {"linewidth_hz": 1e6}, "mismatch": mismatch,
+                      "run": {"mode": mode, "duration_s": 1e-6, "decimation": 100,
+                              "snr_grid_db": [10, 12]}},
+                     "mismatch.delta_l_m", id=f"{mode}-mismatch-{tag}")
+        for mode, tag, mismatch in [
+            ("lock", "1e308", {"delta_l_m": 1e308}),
+            ("trace", "1e308", {"delta_l_m": 1e308}),
+            ("lock", "index-1e9", {"delta_l_m": 1e308, "refractive_index": 1e9}),
+            ("psd", "index-1e9", {"delta_l_m": 1e308, "refractive_index": 1e9}),
+            ("ber-sweep", "index-1e9", {"delta_l_m": 1e308, "refractive_index": 1e9}),
+        ]
+    ),
     # A label names the output files, so it may not lead out of the output directory.
     *(
         pytest.param({"run": {"label": label}}, "label", id=f"label-{tag}")

@@ -47,6 +47,19 @@ def test_bad_amplitudes_rejected():
         build_constellation(4, 1.0, -0.1)
 
 
+@pytest.mark.parametrize("order", ORDERS)
+def test_symbol_energy_outside_normal_floats_rejected(order):
+    # Es/N0 divides by the symbol energy: one that underflows to a subnormal
+    # or 0, or overflows, would silently give n0 = 0 or inf.
+    for a_oma in (1e-300, 1e-165, 1e-160, 1e154, 1e300):
+        with pytest.raises(ValueError, match=r"modulation\.a_oma.*normal float range"):
+            build_constellation(order, a_oma, 0.1 * a_oma)
+    for a_oma in (1e-150, 1e150):
+        c = build_constellation(order, a_oma, 0.1 * a_oma)
+        assert c.symbol_energy == pytest.approx(average_symbol_energy(
+            build_constellation(order, 1.0, 0.1)) * a_oma**2, rel=1e-12)
+
+
 def test_average_symbol_energy_values():
     assert average_symbol_energy(build_constellation(4, 1.0, 0.1)) == pytest.approx(0.5, abs=1e-15)
     assert average_symbol_energy(build_constellation(16, 1.0, 0.0)) == pytest.approx(5 / 18, abs=1e-15)
