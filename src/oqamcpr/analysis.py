@@ -110,9 +110,9 @@ class BodeMetrics:
         return self.crossover_hz is None
 
 
-def open_loop_response(params: LoopParams, f_hz):
-    """Evaluate H(j 2 pi f); accepts scalars or arrays (any real f)."""
-    jf = 1j * np.asarray(f_hz, dtype=float)
+def _open_loop(params: LoopParams, f: np.ndarray):
+    """H(j 2 pi f) as the product of its factors, unchecked."""
+    jf = 1j * f
     h_lf = (
         params.k_lf_v_per_v
         * (1.0 + jf / params.f_lf_zero_hz)
@@ -122,14 +122,36 @@ def open_loop_response(params: LoopParams, f_hz):
     return params.k_pd_v_per_rad * params.k_driver_v_per_v * h_lf * h_ps
 
 
+def open_loop_response(params: LoopParams, f_hz):
+    """Evaluate H(j 2 pi f); accepts scalars or arrays (any real f).
+
+    A response that leaves the float range raises ValueError naming the
+    loop key of H's largest factor there: a gain, or a corner's f / corner.
+    """
+    f = np.asarray(f_hz, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        h = _open_loop(params, f)
+    bad = ~np.isfinite(h)
+    if bad.any():
+        f_bad = float(f[bad][0])
+        values = asdict(params)
+        key = max(values, key=lambda k: f_bad / values[k] if k.startswith("f_") else values[k])
+        raise ValueError(
+            f"loop.{key} = {values[key]:g} puts the open-loop response outside "
+            f"the float range at {f_bad:.3g} Hz"
+        )
+    return h
+
+
 def open_loop_phase_deg(params: LoopParams, f_hz):
     """Unwrapped open-loop phase from the factor decomposition (degrees)."""
     f = np.asarray(f_hz, dtype=float)
-    phase = (
-        np.arctan(f / params.f_lf_zero_hz)
-        - np.arctan(f / params.f_lf_pole_hz)
-        - np.arctan(f / params.f_ps_hz)
-    )
+    with np.errstate(over="ignore"):  # f / corner = inf has the phase limit of 90 deg
+        phase = (
+            np.arctan(f / params.f_lf_zero_hz)
+            - np.arctan(f / params.f_lf_pole_hz)
+            - np.arctan(f / params.f_ps_hz)
+        )
     return np.degrees(phase)
 
 
@@ -183,27 +205,32 @@ def bode_metrics(params: LoopParams, f_max_hz: float = FREQ_GRID_MAX_HZ) -> Bode
     crossings = np.nonzero(np.diff(np.signbit(sign)))[0]
     if crossings.size == 0:
         return BodeMetrics(params.dc_gain, None, None, None)
-    k = int(crossings[0])
-    crossover = _bisect(
-        lambda f: abs(open_loop_response(params, f)) - 1.0, grid[k], grid[k + 1]
-    )
-    pm = 180.0 + float(open_loop_phase_deg(params, crossover))
 
-    closed_bw = None
-    if pm > 0:
-        def closed_mag(h):
-            return np.abs(h / (1.0 + h))
+    def h_at(f: float):
+        return _open_loop(params, np.asarray(f, dtype=float))
 
-        tmag = closed_mag(h)
-        target = tmag[0] / math.sqrt(2.0)
-        below = np.nonzero(tmag < target)[0]
-        if below.size:
-            j = int(below[0])
-            closed_bw = _bisect(
-                lambda f: closed_mag(open_loop_response(params, f)) - target,
-                grid[max(j - 1, 0)],
-                grid[j],
-            )
+    # The bisections stay within brackets of grid points, where H was checked
+    # finite; a pole's f / corner may overflow there, driving H to 0 as on the grid.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = int(crossings[0])
+        crossover = _bisect(lambda f: abs(h_at(f)) - 1.0, grid[k], grid[k + 1])
+        pm = 180.0 + float(open_loop_phase_deg(params, crossover))
+
+        closed_bw = None
+        if pm > 0:
+            def closed_mag(h):
+                return np.abs(h / (1.0 + h))
+
+            tmag = closed_mag(h)
+            target = tmag[0] / math.sqrt(2.0)
+            below = np.nonzero(tmag < target)[0]
+            if below.size:
+                j = int(below[0])
+                closed_bw = _bisect(
+                    lambda f: closed_mag(h_at(f)) - target,
+                    grid[max(j - 1, 0)],
+                    grid[j],
+                )
     return BodeMetrics(params.dc_gain, crossover, pm, closed_bw)
 
 
@@ -231,11 +258,18 @@ def scale_to_closed_loop_bandwidth(params: LoopParams, target_hz: float) -> Loop
     if target_hz <= 0:
         raise ValueError("target_hz must be > 0")
     f_scan = max(FREQ_GRID_MAX_HZ, 1e5 * target_hz)
+    if f_scan == math.inf:
+        raise ValueError(f"loop.closed_loop_bw_hz = {target_hz:g} leaves no finite band to scan")
 
     @functools.cache  # the bracket check repeats the loops' last multipliers
     def bw_for(mult: float) -> float:
         p = replace(params, k_lf_v_per_v=params.k_lf_v_per_v * mult)
-        m = bode_metrics(p, f_max_hz=f_scan)
+        try:
+            m = bode_metrics(p, f_max_hz=f_scan)
+        except ValueError:
+            if mult == 1.0:
+                raise  # the given loop's own response
+            return math.nan  # a scaled gain past the float range: no bandwidth to compare
         # No unity-gain crossing or negative margin: treat as no bandwidth.
         return m.closed_loop_bw_hz or 0.0
 

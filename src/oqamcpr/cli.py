@@ -84,9 +84,11 @@ def _run_bode(sc: ScenarioConfig) -> Table:
         f"reference_deviation: {n}"
         for n in analysis.reference_discrepancies(metrics_obj, reference)
     ]
+    with np.errstate(divide="ignore"):  # |H| = 0 below the float range reads -inf dB
+        mag_db = 20.0 * np.log10(np.abs(h))
     columns = {
         "f_hz": grid,
-        "mag_db": 20.0 * np.log10(np.abs(h)),
+        "mag_db": mag_db,
         "phase_deg": analysis.open_loop_phase_deg(params, grid),
     }
     plot = {
@@ -120,16 +122,11 @@ def _run_psd(sc: ScenarioConfig) -> Table:
 def _run_ber(sc: ScenarioConfig) -> Table:
     c = sc.constellation()
     scen = sc.scenario()
-    params = sc.loop_params()
-    tau = scen.mismatch.tau_s
-    if scen.laser.linewidth_hz > 0 and tau > 0:
-        sigma = math.sqrt(
-            phasenoise.total_variance(scen.laser.linewidth_hz, tau, params)
-        )
-    else:
-        sigma = 0.0
-    loop_bw = analysis.bode_metrics(params).closed_loop_bw_hz
-    sweep = snr_sweep(c, sigma, sc.snr_grid_db())
+    spectrum = phasenoise.shaped_spectrum(
+        scen.laser.linewidth_hz, scen.mismatch.tau_s, sc.loop_params()
+    )
+    loop_bw = spectrum.bode.closed_loop_bw_hz
+    sweep = snr_sweep(c, math.sqrt(spectrum.variance_rad2), sc.snr_grid_db())
     metrics = {**sweep.metadata, "fec_threshold_snr_db": sweep.fec_threshold_snr_db}
     notes = []
     if sweep.fec_threshold_snr_db is None:

@@ -66,8 +66,9 @@ def build_constellation(order: int, a_oma: float, a0: float) -> OffsetQamConstel
         a0: center offset applied equally to I and Q, >= 0.
 
     Raises:
-        ValueError: unsupported order, non-positive a_oma, negative a0, or a
-            symbol energy (Es/N0 divides by it) outside the normal floats.
+        ValueError: unsupported order, non-positive a_oma, negative a0, an a0
+            under which levels or thresholds coincide, or a symbol energy
+            (Es/N0 divides by it) outside the normal floats.
     """
     if order not in SUPPORTED_ORDERS:
         raise ValueError(
@@ -80,11 +81,8 @@ def build_constellation(order: int, a_oma: float, a0: float) -> OffsetQamConstel
 
     m = int(round(math.sqrt(order)))
     k = np.arange(1, m + 1)
-    levels = (2 * k - 1 - m) * a_oma / (2 * (m - 1))
-
     ki = np.repeat(np.arange(m), m)
     kq = np.tile(np.arange(m), m)
-    points = np.column_stack((levels[ki] + a0, levels[kq] + a0))
 
     # Reflected-Gray word of level k, k ^ (k >> 1), most significant bit first.
     nb = int(round(math.log2(m)))
@@ -92,9 +90,20 @@ def build_constellation(order: int, a_oma: float, a0: float) -> OffsetQamConstel
     level_bits = ((gray[:, None] >> np.arange(nb - 1, -1, -1)) & 1).astype(np.uint8)
     bit_map = np.hstack((level_bits[ki], level_bits[kq]))
 
-    thresholds = (levels[1:] + levels[:-1]) / 2 + a0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # values past the float range fail below
+        levels = (2 * k - 1 - m) * a_oma / (2 * (m - 1))
+        points = np.column_stack((levels[ki] + a0, levels[kq] + a0))
+        mids = (levels[1:] + levels[:-1]) / 2
+        thresholds = mids + a0
+        # An offset past the levels' float resolution merges levels or thresholds.
+        merged = any(np.all(np.diff(v) > 0) and not np.all(np.diff(v + a0) > 0)
+                     for v in (levels, mids))
         symbol_energy = float(np.mean(np.sum((points - float(a0)) ** 2, axis=1)))
+    if merged:
+        raise ValueError(
+            f"modulation.a0 = {a0:g} (modulation.m_ratio = {a0 / a_oma:g}) merges the "
+            f"{m} levels per axis, or the thresholds between them, in float arithmetic"
+        )
     if not np.finfo(float).tiny <= symbol_energy < math.inf:
         raise ValueError(
             f"modulation.a_oma = {a_oma:g} gives the symbol energy {symbol_energy:g}, "

@@ -87,6 +87,10 @@ def _loop_coefficients(params: LoopParams, dt_s: float):
     az = 2.0 / (dt_s * 2.0 * math.pi * params.f_lf_zero_hz)
     ap = 2.0 / (dt_s * 2.0 * math.pi * params.f_lf_pole_hz)
     aps = 2.0 / (dt_s * 2.0 * math.pi * params.f_ps_hz)
+    for name, a in (("f_lf_zero_hz", az), ("f_lf_pole_hz", ap), ("f_ps_hz", aps)):
+        if a == math.inf:
+            raise ValueError(f"loop.{name} = {getattr(params, name):g} Hz is too low for "
+                             f"the loop step {dt_s:g} s: its bilinear coefficient overflows")
     k = params.k_lf_v_per_v
     return (
         (k * (1.0 + az) / (1.0 + ap), k * (1.0 - az) / (1.0 + ap), (1.0 - ap) / (1.0 + ap)),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,25 @@ class TestBodeMetrics:
         with pytest.raises(ValueError, match="dc_gain"):
             LoopParams(1.0, 1e308, 1.0, 1e308, 1e9, 1e9, 1e3)
 
+    @pytest.mark.parametrize("key, value, f_hz", [
+        ("f_lf_zero_hz", 1e-300, 1e8),  # K_lf (1 + j f / f_z) overflows past 1.5e5 Hz
+        ("k_lf_v_per_v", 1.7e308, 1e8),  # dc_gain is finite, K_lf times the lead is not
+        ("f_lf_pole_hz", 5e-324, 1.0),
+        ("f_ps_hz", 1e-310, 1.0),
+    ])
+    def test_response_outside_float_range_names_its_key(self, key, value, f_hz):
+        params = replace(DEFAULT_LOOP, **{key: value})
+        for f in (f_hz, np.array([1.0, f_hz])):
+            with pytest.raises(ValueError, match=rf"loop\.{key} = .* outside the float range"):
+                open_loop_response(params, f)
+        with pytest.raises(ValueError, match=rf"loop\.{key}"):
+            bode_metrics(params)
+
+    def test_pole_past_float_range_drives_the_response_to_zero(self):
+        for key in ("f_lf_pole_hz", "f_ps_hz"):
+            h = open_loop_response(replace(DEFAULT_LOOP, **{key: 1e-300}), np.array([1e3, 1e10]))
+            assert np.all(np.isfinite(h)) and h[1] == 0
+
     def test_degenerate_loop_reports_absent_metrics(self):
         params = LoopParams(1e-6, 1e-3, 1.0, 1e-3, 1e9, 1e9, 1e3)
         metrics = bode_metrics(params)
@@ -192,6 +212,20 @@ class TestBandwidthScaling:
     def test_unreachable_target_raises(self):
         with pytest.raises(ConvergenceError, match="bandwidth"):
             scale_to_closed_loop_bandwidth(DEFAULT_LOOP, 1e30)
+
+    def test_gains_past_float_range_do_not_reach_the_target(self):
+        # The scan band to 1e305 Hz overflows the response once K_lf is scaled
+        # by about 1e6; the given loop's own response stays finite there.
+        with pytest.raises(ConvergenceError, match="bandwidth 1e\\+300"):
+            scale_to_closed_loop_bandwidth(DEFAULT_LOOP, 1e300)
+
+    def test_given_loop_past_float_range_names_its_key(self):
+        with pytest.raises(ValueError, match=r"loop\.f_lf_zero_hz"):
+            scale_to_closed_loop_bandwidth(replace(DEFAULT_LOOP, f_lf_zero_hz=1e-300), 1e6)
+
+    def test_target_without_a_finite_scan_band_names_its_key(self):
+        with pytest.raises(ValueError, match=r"loop\.closed_loop_bw_hz"):
+            scale_to_closed_loop_bandwidth(DEFAULT_LOOP, 1.7e308)
 
     @pytest.mark.parametrize("target", [216e3, 1e6, 1e7, 1e8])
     def test_each_gain_evaluated_once(self, monkeypatch, target):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oqamcpr import ber, cli, reports, svgplot
+from oqamcpr import analysis, ber, cli, phasenoise, reports, svgplot
 from oqamcpr.cli import main, run_scenario
 from oqamcpr.config import ScenarioConfig, load_config, sweep_variants, validate_config
 from oqamcpr.errors import ConfigError
@@ -128,12 +129,73 @@ BAD_INPUTS = [
             ("ber-sweep", "index-1e9", {"delta_l_m": 1e308, "refractive_index": 1e9}),
         ]
     ),
+    # A loop response outside the float range on the band a mode analyses.
+    *(
+        pytest.param({"laser": {"linewidth_hz": 1e6}, "mismatch": {"delta_l_m": 0.1},
+                      "loop": {key: value}, "run": {"mode": mode, "duration_s": 2e-7,
+                                                    "snr_grid_db": [10, 20]}},
+                     f"loop.{key}", id=f"{mode}-{key}-{value:g}")
+        for mode in ("bode", "psd", "ber-sweep", "lock")
+        for key, value in (("f_lf_zero_hz", 1e-300), ("f_lf_pole_hz", 5e-324))
+    ),
+    # The loop filter's bilinear coefficient 2 / (2 pi f_p dt) overflows.
+    pytest.param({"loop": {"f_lf_pole_hz": 1e-305}, "run": {"duration_s": 2e-7}},
+                 "loop.f_lf_pole_hz", id="lock-f_lf_pole_hz-1e-305"),
+    pytest.param({"loop": {"closed_loop_bw_hz": 1.7e308}, "run": {"mode": "psd"}},
+                 "loop.closed_loop_bw_hz", id="psd-closed_loop_bw_hz-1.7e308"),
+    # An offset past the levels' float resolution: 1e17 + each 16-QAM level is one value.
+    pytest.param({"modulation": {"order": 16, "a_oma": 1.0, "m_ratio": 1e17},
+                  "run": {"mode": "ber-sweep", "snr_grid_db": [10, 20]}},
+                 "modulation.a0", id="ber-sweep-m_ratio-1e17"),
     # A label names the output files, so it may not lead out of the output directory.
     *(
         pytest.param({"run": {"label": label}}, "label", id=f"label-{tag}")
         for tag, label in [("parent-x", "../x"), ("a-slash-b", "a/b"), ("parent", "..")]
     ),
 ]
+
+# Extreme inputs the schema accepts that run clean: exit 0 and, as tier-1 turns
+# a RuntimeWarning into an error, no warning.  Each merges into a 4-QAM config.
+TEN_CM = {"mismatch": {"delta_l_m": 0.1}}
+NOISY = {"laser": {"linewidth_hz": 1e6}, **TEN_CM}
+CLEAN_EXTREMES = [
+    pytest.param(mode, changes, id=f"{mode}-{tag}")
+    for mode, tag, changes in [
+        ("lock", "pd_bandwidth-1e-300", {"channel": {"pd_bandwidth_hz": 1e-300}}),
+        ("lock", "pd_bandwidth-1e300", {"channel": {"pd_bandwidth_hz": 1e300}}),
+        ("lock", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM}),
+        ("lock", "phi_offset-1e300", {"channel": {"phi_offset_rad": 1e300}}),
+        ("lock", "k_ps-1e300", {"loop": {"k_ps_rad_per_v": 1e300}}),
+        ("lock", "a0-1e-300", {"modulation": {"a0": 1e-300}}),
+        ("lock", "a_oma-1e150", {"modulation": {"a_oma": 1e150}}),
+        ("lock", "snr_db--300", {"channel": {"snr_db": -300}}),
+        ("bode", "f_lf_pole-1e300", {"loop": {"f_lf_pole_hz": 1e300}}),
+        ("bode", "k_lf-1e-300", {"loop": {"k_lf_v_per_v": 1e-300}}),
+        ("bode", "k_pd-5e-324", {"loop": {"k_pd_v_per_rad": 5e-324}}),  # |H| = 0: -inf dB
+        ("bode", "f_lf_pole-1e-305", {"loop": {"f_lf_pole_hz": 1e-305}}),  # f / pole = inf
+        ("psd", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM}),
+        ("psd", "linewidth-1e-300", {"laser": {"linewidth_hz": 1e-300}, **TEN_CM}),
+        ("psd", "k_ps-1e-300", {"loop": {"k_ps_rad_per_v": 1e-300}, **NOISY}),
+        ("psd", "f_ps-1e300", {"loop": {"f_ps_hz": 1e300}, **NOISY}),
+        ("ber-sweep", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM}),
+        ("ber-sweep", "linewidth-1e9-1m", {"laser": {"linewidth_hz": 1e9},
+                                            "mismatch": {"delta_l_m": 1.0}}),
+        ("ber-sweep", "grid--400--300", {"run": {"snr_grid_db": [-400, -300]}}),
+        ("trace", "one-symbol", {"run": {"samples_per_symbol": 1, "num_symbols": 1}}),
+        ("trace", "pd_bandwidth-1e-300", {"channel": {"pd_bandwidth_hz": 1e-300}}),
+        ("trace", "phi_offset-1e300-svg", {"channel": {"phi_offset_rad": 1e300},
+                                           "run": {"svg": True}}),
+        ("trace", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM}),
+        # |1 + H|^2 past the float range, or a pole's f / corner, drive the PSD to 0.
+        *(
+            (mode, f"{key}-{value:g}", {"loop": {key: value}, **NOISY})
+            for mode in ("psd", "ber-sweep")
+            for key, value in (("k_lf_v_per_v", 1e300), ("f_lf_pole_hz", 1e-300),
+                               ("f_ps_hz", 1e-300))
+        ),
+    ]
+]
+
 
 # Plot specs that ended in a traceback or were misread; each must exit 2
 # naming the key.
@@ -226,6 +288,56 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 2
         assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode, changes", CLEAN_EXTREMES)
+    @pytest.mark.filterwarnings("ignore:sigma_pn=.*comfort zone:UserWarning")
+    def test_extreme_valid_input_runs_clean(self, tmp_path, capsys, mode, changes):
+        cfg = {"modulation": {"order": 4},
+               "run": {"mode": mode, "duration_s": 2e-7, "snr_grid_db": [10, 20]}}
+        for section, values in changes.items():
+            cfg.setdefault(section, {}).update(values)
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+
+    def test_loop_bandwidth_past_float_range_exit_3(self, tmp_path, capsys):
+        # Scaling K_lf toward 1e300 Hz overflows the response on the scan band:
+        # the scaled loops have no bandwidth to compare, and the search fails.
+        cfg = {"modulation": {"order": 4}, "laser": {"linewidth_hz": 1e6},
+               "mismatch": {"delta_l_m": 0.1}, "loop": {"closed_loop_bw_hz": 1e300},
+               "run": {"mode": "psd"}}
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        assert rc == 3
+        assert "closed-loop bandwidth 1e+300 Hz" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["psd", "ber-sweep"])
+    def test_link_without_linewidth_skips_the_delay_check(self, tmp_path, capsys, mode):
+        # A delay too short to integrate shapes no beat noise without a linewidth.
+        cfg = {"modulation": {"order": 4}, "mismatch": {"delta_l_m": 1e-200},
+               "run": {"mode": mode, "snr_grid_db": [10, 12]}}
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        assert rc == 0, capsys.readouterr().err
+        if mode == "psd":
+            _, cols = read_csv(outdir / "psd.csv")
+            assert cols["f_hz"][-1] == 1e10 and not any(cols["psd_rad2_per_hz"])
+
+    @pytest.mark.parametrize("mode", ["bode", "psd", "ber-sweep", "lock"])
+    def test_one_bode_analysis_per_variant(self, tmp_path, monkeypatch, mode):
+        calls = []
+        original = analysis.bode_metrics
+
+        def counting(params, **kwargs):
+            calls.append(params)
+            return original(params, **kwargs)
+
+        for module in (analysis, phasenoise):  # both names the benchmark's tracer wraps
+            monkeypatch.setattr(module, "bode_metrics", counting)
+        run_scenario({**NOISY, "modulation": {"order": 4},
+                      "run": {"mode": mode, "duration_s": 2e-5, "snr_grid_db": [10, 12]}},
+                     output_dir=str(tmp_path))
+        assert len(calls) == 1
 
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -414,6 +526,28 @@ class TestSweeps:
         names = sorted(f.name for f in outdir.iterdir())
         assert len([n for n in names if n.endswith(".csv")]) == 2
         assert "psd.svg" in names and "psd_manifest.json" in names
+
+    def test_ber_sweep_sigma_and_loop_bw_match_their_own_analyses(self, tmp_path):
+        # One spectrum per variant gives sigma = sqrt(total_variance) with beat
+        # noise, 0 without, and bode_metrics' loop bandwidth, bit for bit.
+        cfg = {"modulation": {"order": 16}, "mismatch": {"delta_l_m": 0.1},
+               "run": {"mode": "ber-sweep", "snr_grid_db": [14, 16, 18],
+                       "sweep": {"key": "laser.linewidth_hz", "values": [0, 1e6]}}}
+        result = run_scenario(cfg, output_dir=str(tmp_path))
+        manifest = json.loads(result.manifest.read_text())
+        for slug, variant in sweep_variants(validate_config(cfg)).items():
+            sc = ScenarioConfig(variant)
+            scen, params = sc.scenario(), sc.loop_params()
+            sigma = 0.0
+            if scen.laser.linewidth_hz > 0:
+                sigma = math.sqrt(phasenoise.total_variance(
+                    scen.laser.linewidth_hz, scen.mismatch.tau_s, params))
+            sweep = ber.snr_sweep(sc.constellation(), sigma, sc.snr_grid_db())
+            _, cols = read_csv(tmp_path / f"ber_sweep_{slug}.csv")
+            assert cols["ber"] == sweep.ber.tolist() and cols["ser"] == sweep.ser.tolist()
+            assert set(cols["loop_bw_hz"]) == {analysis.bode_metrics(params).closed_loop_bw_hz}
+            assert manifest["metrics"][f"ber_sweep_{slug}"]["sigma_pn_rad"] == sigma
+        assert [m["sigma_pn_rad"] > 0 for m in manifest["metrics"].values()] == [False, True]
 
     def test_a_oma_sweep_keeps_a0_fixed(self):
         cfg = validate_config({

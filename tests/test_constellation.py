@@ -60,6 +60,15 @@ def test_symbol_energy_outside_normal_floats_rejected(order):
             build_constellation(order, 1.0, 0.1)) * a_oma**2, rel=1e-12)
 
 
+def test_offset_that_merges_the_levels_rejected():
+    # 1e17 + each 16-QAM level rounds to one value; the energy about a0 would be 0.
+    with pytest.raises(ValueError, match=r"modulation\.a0 = 1e\+17 \(modulation\.m_ratio = 1e\+17\)"):
+        build_constellation(16, 1.0, 1e17)
+    c = build_constellation(4, 1.0, 1e10)
+    assert np.all(np.diff(c.levels + c.a0) > 0)
+    assert c.symbol_energy == 0.5
+
+
 def test_average_symbol_energy_values():
     assert average_symbol_energy(build_constellation(4, 1.0, 0.1)) == pytest.approx(0.5, abs=1e-15)
     assert average_symbol_energy(build_constellation(16, 1.0, 0.0)) == pytest.approx(5 / 18, abs=1e-15)

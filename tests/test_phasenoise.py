@@ -130,8 +130,8 @@ class TestTotalVariance:
 
 class TestShapedSpectrum:
     def test_band_covers_loop_and_delay_scales(self):
-        lo, hi = default_integration_band(TAU_10CM, DEFAULT_LOOP)
         crossover = bode_metrics(DEFAULT_LOOP).crossover_hz
+        lo, hi = default_integration_band(TAU_10CM, crossover)
         assert lo <= 1e-2 * crossover
         assert hi >= 10 / (2 * math.pi * TAU_10CM)
 
@@ -140,9 +140,14 @@ class TestShapedSpectrum:
         assert spec.variance_rad2 == total_variance(1e6, TAU_10CM, DEFAULT_LOOP)
         assert np.all(spec.psd_rad2_per_hz >= 0)
         assert spec.freqs_hz[0] < spec.freqs_hz[-1]
-        band = default_integration_band(TAU_10CM, DEFAULT_LOOP)
+        band = default_integration_band(TAU_10CM, bode_metrics(DEFAULT_LOOP).crossover_hz)
         grid = log_frequency_grid(*band, phasenoise.GRID_POINTS_PER_DECADE)
         assert np.array_equal(spec.freqs_hz, grid)
+
+    def test_spectrum_carries_the_bode_metrics_of_its_band(self):
+        assert shaped_spectrum(1e6, TAU_10CM, DEFAULT_LOOP).bode == bode_metrics(DEFAULT_LOOP)
+        assert shaped_spectrum(0.0, 0.0, DEFAULT_LOOP).bode == bode_metrics(DEFAULT_LOOP)
+        assert shaped_spectrum(1e6, TAU_10CM, None).bode is None
 
     def test_spectrum_builds_the_band_once(self, monkeypatch):
         calls = []
@@ -166,3 +171,12 @@ class TestShapedSpectrum:
         spec = shaped_spectrum(1e6, 0.0, DEFAULT_LOOP)
         assert spec.variance_rad2 == 0.0
         assert np.all(spec.psd_rad2_per_hz == 0.0)
+
+    @pytest.mark.parametrize("tau_s", [0.0, 4.9e-209, TAU_10CM, 1e-6])
+    def test_zero_linewidth_has_no_beat_phase_whatever_the_delay(self, tau_s):
+        # No delay check: a delay too short to integrate shapes no noise here.
+        spec = shaped_spectrum(0.0, tau_s, DEFAULT_LOOP)
+        assert spec.variance_rad2 == 0.0
+        assert np.all(spec.psd_rad2_per_hz == 0.0)
+        assert np.array_equal(spec.freqs_hz, shaped_spectrum(1e6, 0.0, DEFAULT_LOOP).freqs_hz)
+        assert spec.freqs_hz[-1] == 1e10
