@@ -112,8 +112,9 @@ def delay_in_samples(tau_s: float, dt_s: float) -> int:
         return 0
     samples = tau_s / dt_s
     if not math.isfinite(samples):
-        raise ValueError(f"the mismatch delay tau={tau_s:g} (from mismatch.delta_l_m) "
-                         f"is not a finite number of dt_s={dt_s:g} samples")
+        raise ValueError(f"the mismatch delay tau={tau_s:g} (from mismatch.delta_l_m and "
+                         f"mismatch.refractive_index) is not a finite number of "
+                         f"dt_s={dt_s:g} samples")
     d = int(round(samples))
     exact = abs(d * dt_s - tau_s) <= 1e-9 * tau_s and d >= 1
     if dt_s > tau_s / 4 and not exact:
@@ -148,6 +149,9 @@ class BeatNoise:
         noisy = laser.linewidth_hz > 0 and mismatch.tau_s > 0
         self.delay_samples = delay_in_samples(mismatch.tau_s, dt_s) if noisy else 0
         self._sigma = math.sqrt(2.0 * math.pi * laser.linewidth_hz * dt_s)
+        if noisy and math.isinf(self._sigma):
+            raise ValueError(f"laser.linewidth_hz = {laser.linewidth_hz:g}: the Wiener phase step "
+                             f"variance 2 pi linewidth dt_s overflows at dt_s={dt_s:g}")
         self._rng = rng
         # phi of the last d samples, oldest first
         self._past = np.cumsum(rng.normal(0.0, self._sigma, self.delay_samples))

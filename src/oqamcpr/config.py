@@ -30,20 +30,23 @@ from .cpr import DetectorMethod
 from .errors import ConfigError
 from .reports import value_slug
 
-MODES = ("lock", "bode", "psd", "ber-sweep", "trace")
 _REFERENCE_KEYS = tuple(f.name for f in fields(BodeMetrics))
 
-_SWEEPABLE = (
-    "laser.linewidth_hz",
-    "mismatch.delta_l_m",
-    "mismatch.refractive_index",
-    "modulation.m_ratio",
-    "modulation.a0",
-    "modulation.a_oma",
-    "loop.closed_loop_bw_hz",
-    "channel.snr_db",
-    "channel.phi_offset_rad",
-)
+_LOOP = ("loop.closed_loop_bw_hz",)
+_LINK = ("laser.linewidth_hz", "mismatch.delta_l_m", "mismatch.refractive_index")
+_MODULATION = ("modulation.m_ratio", "modulation.a0", "modulation.a_oma")
+_CHANNEL = ("channel.snr_db", "channel.phi_offset_rad")
+# Each mode and the keys its outputs depend on, the only keys it may sweep:
+# a sweep of any other key would write copies of one report.
+SWEEP_KEYS = {
+    "lock": _LOOP + _LINK + _MODULATION + _CHANNEL,
+    "bode": _LOOP,
+    "psd": _LOOP + _LINK,
+    "ber-sweep": _LOOP + _LINK + _MODULATION,
+    "trace": _LINK + _MODULATION + _CHANNEL,
+}
+MODES = tuple(SWEEP_KEYS)
+_ALL_SWEEP_KEYS = sorted(set().union(*SWEEP_KEYS.values()))
 
 
 def _is_number(v) -> bool:
@@ -80,9 +83,9 @@ LABEL = ("a string with no '/' or '\\' that is not '.' or '..', or null",
                                  and v not in (".", "..")))
 GRID = ("a strictly increasing list of >= 2 finite numbers, or "
         "{start, stop, step} with step > 0 spanning >= 2 points", lambda g: _grid_size(g) >= 2)
-SWEEP = (f"{{'key': <one of {sorted(_SWEEPABLE)}>, 'values': [<one or more values>]}}",
-         lambda v: isinstance(v, dict) and set(v) == {"key", "values"} and v["key"] in _SWEEPABLE
-         and isinstance(v["values"], list) and len(v["values"]) > 0)
+SWEEP = (f"{{'key': <one of {_ALL_SWEEP_KEYS}>, 'values': [<one or more values>]}}",
+         lambda v: isinstance(v, dict) and set(v) == {"key", "values"}
+         and v["key"] in _ALL_SWEEP_KEYS and isinstance(v["values"], list) and len(v["values"]) > 0)
 REFERENCE = (f"an object mapping some of {list(_REFERENCE_KEYS)} to finite nonzero numbers",
              lambda v: isinstance(v, dict) and all(
                  k in _REFERENCE_KEYS and _is_number(x) and x != 0 for k, x in v.items()))
@@ -194,14 +197,18 @@ def _resolve(data: dict, raw: str | None) -> dict:
 def sweep_variants(cfg: dict, raw: str | None = None) -> dict[str, dict]:
     """Resolved config of each sweep value, keyed by its value slug.
 
-    Each value must pass the swept key's rule and its variant the
-    cross-key rules; values whose slugs (output file tags) coincide are
-    rejected.  Without a sweep the result is empty.
+    The swept key must be one that the mode reads (``SWEEP_KEYS``), each
+    value must pass the key's rule and its variant the cross-key rules;
+    values whose slugs (output file tags) coincide are rejected.  Without a
+    sweep the result is empty.
     """
     sweep = cfg["run"].get("sweep")
     if sweep is None:
         return {}
-    dotted = sweep["key"]
+    dotted, mode = sweep["key"], cfg["run"]["mode"]
+    if dotted not in SWEEP_KEYS[mode]:
+        _fail(raw, "sweep", f"{mode} mode does not read {dotted}, so its variants would be "
+                            f"identical; it sweeps only {list(SWEEP_KEYS[mode])}")
     section, key = dotted.split(".", 1)
     description, ok = SCHEMA[section][key][1]
     variants = {}

@@ -121,13 +121,17 @@ class LockReport:
 def _finish_report(t, psi, dphi, err, method) -> LockReport:
     n = len(dphi)
     tail = dphi[int(0.9 * n):]
-    mean_tail = float(np.mean(tail))
+    half = len(tail) // 2
+    with np.errstate(over="ignore"):  # a sum past the float range reads inf
+        mean_tail = float(np.mean(tail))
+        drift = abs(float(np.mean(tail[half:])) - float(np.mean(tail[:half])))
+    if not (math.isfinite(mean_tail) and math.isfinite(drift)):
+        raise ValueError("channel.phi_offset_rad: the phase error summed over the last 10% "
+                         "of the run is past the float range")
     period = math.pi if method is DetectorMethod.METHOD1 else math.pi / 2
     lock_point = period * round(mean_tail / period)
     residual = mean_tail - lock_point
 
-    half = len(tail) // 2
-    drift = abs(float(np.mean(tail[half:])) - float(np.mean(tail[:half])))
     locked = abs(residual) < LOCK_TOLERANCE_RAD and drift < LOCK_TOLERANCE_RAD / 2
     return LockReport(
         time_s=t,

@@ -75,6 +75,9 @@ def default_integration_band(tau_s: float, crossover: float | None) -> tuple[flo
     if not f_max <= 1e153:  # laser_psd's 2 pi f^2 overflows at the next decade, 1e154
         raise ValueError(f"delay {tau_s:.3g} s of mismatch.delta_l_m is too short to integrate")
     f_max = 10.0 ** math.ceil(math.log10(f_max))
+    if math.isinf(2.0 * math.pi * f_max * tau_s):  # shaped_psd's cos(2 pi f tau) argument
+        raise ValueError(f"delay {tau_s:.3g} s of mismatch.delta_l_m and "
+                         f"mismatch.refractive_index is too long to integrate to {f_max:g} Hz")
     return f_min, f_max
 
 

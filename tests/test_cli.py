@@ -11,10 +11,17 @@ import pytest
 
 from oqamcpr import analysis, ber, cli, phasenoise, reports, svgplot
 from oqamcpr.cli import main, run_scenario
-from oqamcpr.config import ScenarioConfig, load_config, sweep_variants, validate_config
+from oqamcpr.config import (
+    MODES,
+    SWEEP_KEYS,
+    ScenarioConfig,
+    load_config,
+    sweep_variants,
+    validate_config,
+)
 from oqamcpr.errors import ConfigError
 from oqamcpr.presets import PRESETS, list_presets, preset_config
-from oqamcpr.reports import read_csv
+from oqamcpr.reports import read_csv, value_slug
 from oqamcpr.svgplot import plot_csvs
 
 BER_CFG = {
@@ -129,6 +136,26 @@ BAD_INPUTS = [
             ("ber-sweep", "index-1e9", {"delta_l_m": 1e308, "refractive_index": 1e9}),
         ]
     ),
+    # Arithmetic past the float range on inputs the schema accepts: the tail
+    # mean of a phase error near 1.7e308, 2 pi linewidth before the sample step
+    # scales it down, and 2 pi f tau at the band edge of a finite delay.
+    pytest.param({"channel": {"phi_offset_rad": 1.7e308}, "run": {"duration_s": 2e-7}},
+                 "channel.phi_offset_rad", id="lock-phi_offset-1.7e308"),
+    *(
+        pytest.param({"laser": {"linewidth_hz": 1.7e308}, "mismatch": {"delta_l_m": 0.1},
+                      "run": {"mode": mode, "duration_s": 2e-7, "num_symbols": 20}},
+                     "laser.linewidth_hz", id=f"{mode}-linewidth-1.7e308")
+        for mode in ("lock", "trace")
+    ),
+    *(
+        pytest.param({"laser": {"linewidth_hz": 1e6},
+                      "mismatch": {"delta_l_m": 0.1, "refractive_index": 1.7e308},
+                      "run": {"mode": mode, "duration_s": 2e-7, "num_symbols": 20,
+                              "snr_grid_db": [10, 12]}},
+                     "mismatch.delta_l_m and mismatch.refractive_index",
+                     id=f"{mode}-refractive_index-1.7e308")
+        for mode in ("psd", "ber-sweep", "lock", "trace")
+    ),
     # A loop response outside the float range on the band a mode analyses.
     *(
         pytest.param({"laser": {"linewidth_hz": 1e6}, "mismatch": {"delta_l_m": 0.1},
@@ -186,6 +213,18 @@ CLEAN_EXTREMES = [
         ("trace", "phi_offset-1e300-svg", {"channel": {"phi_offset_rad": 1e300},
                                            "run": {"svg": True}}),
         ("trace", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM}),
+        ("trace", "phi_offset-1.7e308", {"channel": {"phi_offset_rad": 1.7e308}}),
+        # The smallest subnormal of the keys that exit 2 at 1.7e308 (BAD_INPUTS).
+        ("lock", "phi_offset-5e-324", {"channel": {"phi_offset_rad": 5e-324}}),
+        *(
+            (mode, "linewidth-5e-324", {"laser": {"linewidth_hz": 5e-324}, **TEN_CM})
+            for mode in ("lock", "trace")
+        ),
+        *(
+            (mode, "refractive_index-5e-324",
+             {**NOISY, "mismatch": {"delta_l_m": 0.1, "refractive_index": 5e-324}})
+            for mode in ("psd", "ber-sweep")
+        ),
         # |1 + H|^2 past the float range, or a pole's f / corner, drive the PSD to 0.
         *(
             (mode, f"{key}-{value:g}", {"loop": {key: value}, **NOISY})
@@ -195,6 +234,29 @@ CLEAN_EXTREMES = [
         ),
     ]
 ]
+
+# Two values of each sweepable key that every mode accepts; a closed-loop
+# bandwidth of 1e7 Hz would trip lock's loop-step guard.
+SWEEP_VALUES = {
+    "laser.linewidth_hz": [1e6, 2e6],
+    "mismatch.delta_l_m": [0.1, 0.2],
+    "mismatch.refractive_index": [1.468, 1.5],
+    "modulation.m_ratio": [0.1, 0.2],
+    "modulation.a0": [0.1, 0.2],
+    "modulation.a_oma": [1.0, 2.0],
+    "loop.closed_loop_bw_hz": [2e5, 5e5],
+    "channel.snr_db": [10, 20],
+    "channel.phi_offset_rad": [0.1, 0.2],
+}
+
+
+def short_run(mode, changes=None):
+    """A short 4-QAM config of the mode, with changes merged in."""
+    cfg = {"modulation": {"order": 4},
+           "run": {"mode": mode, "duration_s": 2e-7, "snr_grid_db": [10, 20]}}
+    for section, values in json.loads(json.dumps(changes or {})).items():
+        cfg.setdefault(section, {}).update(values)
+    return cfg
 
 
 # Plot specs that ended in a traceback or were misread; each must exit 2
@@ -288,16 +350,18 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 2
         assert key in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
     @pytest.mark.parametrize("mode, changes", CLEAN_EXTREMES)
     @pytest.mark.filterwarnings("ignore:sigma_pn=.*comfort zone:UserWarning")
     def test_extreme_valid_input_runs_clean(self, tmp_path, capsys, mode, changes):
-        cfg = {"modulation": {"order": 4},
-               "run": {"mode": mode, "duration_s": 2e-7, "snr_grid_db": [10, 20]}}
-        for section, values in changes.items():
-            cfg.setdefault(section, {}).update(values)
-        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(tmp_path / "out")])
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, short_run(mode, changes))), "-o", str(outdir)])
         assert rc == 0, capsys.readouterr().err
+        for csv in outdir.glob("*.csv"):
+            _, cols = read_csv(csv)
+            cols.pop("loop_bw_hz", None)  # nan marks a loop without a closed-loop bandwidth
+            assert not np.isnan(list(cols.values())).any(), csv.name
 
     def test_loop_bandwidth_past_float_range_exit_3(self, tmp_path, capsys):
         # Scaling K_lf toward 1e300 Hz overflows the response on the scan band:
@@ -502,6 +566,35 @@ class TestCliCommands:
 
 
 class TestSweeps:
+    @pytest.mark.parametrize("key", list(SWEEP_VALUES))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_mode_sweeps_only_the_keys_it_reads(self, tmp_path, capsys, mode, key):
+        # A key of the mode's table writes variants that differ.  Any other key
+        # is rejected before a file is written, and setting it to either value
+        # instead of sweeping it writes the same CSV.
+        values = SWEEP_VALUES[key]
+        cfg = short_run(mode, {**NOISY, "run": {"sweep": {"key": key, "values": values}}})
+        outdir = tmp_path / "sweep"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        err = capsys.readouterr().err
+        if key in SWEEP_KEYS[mode]:
+            assert rc == 0, err
+            first, second = (f.read_bytes() for f in sorted(outdir.glob("*.csv")))
+            assert first != second
+            return
+        assert rc == 2 and "Traceback" not in err
+        assert f"{mode} mode does not read {key}" in err and str(list(SWEEP_KEYS[mode])) in err
+        assert not outdir.exists()
+        section, name = key.split(".")
+        csvs = set()
+        for value in values:
+            changes = {**NOISY, section: {**NOISY.get(section, {}), name: value}}
+            run_cfg = write_cfg(tmp_path, short_run(mode, changes))
+            out = tmp_path / value_slug(value)
+            assert main(["run", str(run_cfg), "-o", str(out)]) == 0
+            csvs.update(f.read_bytes() for f in out.glob("*.csv"))
+        assert len(csvs) == 1
+
     def test_one_value_sweep_runs(self, tmp_path):
         cfg = {
             "modulation": {"order": 4},
