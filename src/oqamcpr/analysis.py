@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .domain import check
 from .errors import ConvergenceError
 
 
@@ -38,10 +39,7 @@ class LoopParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be > 0")
-        if not math.isfinite(self.dc_gain):
-            raise ValueError(f"the loop gains' product dc_gain = {self.dc_gain:g} is not finite")
+            check(f"loop.{f.name}", getattr(self, f.name))
 
     @property
     def dc_gain(self) -> float:
@@ -110,48 +108,33 @@ class BodeMetrics:
         return self.crossover_hz is None
 
 
-def _open_loop(params: LoopParams, f: np.ndarray):
-    """H(j 2 pi f) as the product of its factors, unchecked."""
-    jf = 1j * f
-    h_lf = (
-        params.k_lf_v_per_v
-        * (1.0 + jf / params.f_lf_zero_hz)
-        / (1.0 + jf / params.f_lf_pole_hz)
-    )
-    h_ps = params.k_ps_rad_per_v / (1.0 + jf / params.f_ps_hz)
-    return params.k_pd_v_per_rad * params.k_driver_v_per_v * h_lf * h_ps
-
-
 def open_loop_response(params: LoopParams, f_hz):
-    """Evaluate H(j 2 pi f); accepts scalars or arrays (any real f).
+    """H(j 2 pi f) as the product of its factors, for scalar or array f.
 
-    A response that leaves the float range raises ValueError naming the
-    loop key of H's largest factor there: a gain, or a corner's f / corner.
-    """
+    A response past the float range, which within the loop's ranges takes
+    f near 1e300 Hz, raises ValueError naming that frequency."""
     f = np.asarray(f_hz, dtype=float)
+    jf = 1j * f
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        h = _open_loop(params, f)
+        h_lf = (params.k_lf_v_per_v * (1.0 + jf / params.f_lf_zero_hz)
+                / (1.0 + jf / params.f_lf_pole_hz))
+        h_ps = params.k_ps_rad_per_v / (1.0 + jf / params.f_ps_hz)
+        h = params.k_pd_v_per_rad * params.k_driver_v_per_v * h_lf * h_ps
     bad = ~np.isfinite(h)
     if bad.any():
-        f_bad = float(f[bad][0])
-        values = asdict(params)
-        key = max(values, key=lambda k: f_bad / values[k] if k.startswith("f_") else values[k])
-        raise ValueError(
-            f"loop.{key} = {values[key]:g} puts the open-loop response outside "
-            f"the float range at {f_bad:.3g} Hz"
-        )
+        raise ValueError(f"the open-loop response is outside the float range "
+                         f"at {float(f[bad][0]):.3g} Hz")
     return h
 
 
 def open_loop_phase_deg(params: LoopParams, f_hz):
     """Unwrapped open-loop phase from the factor decomposition (degrees)."""
     f = np.asarray(f_hz, dtype=float)
-    with np.errstate(over="ignore"):  # f / corner = inf has the phase limit of 90 deg
-        phase = (
-            np.arctan(f / params.f_lf_zero_hz)
-            - np.arctan(f / params.f_lf_pole_hz)
-            - np.arctan(f / params.f_ps_hz)
-        )
+    phase = (
+        np.arctan(f / params.f_lf_zero_hz)
+        - np.arctan(f / params.f_lf_pole_hz)
+        - np.arctan(f / params.f_ps_hz)
+    )
     return np.degrees(phase)
 
 
@@ -207,30 +190,28 @@ def bode_metrics(params: LoopParams, f_max_hz: float = FREQ_GRID_MAX_HZ) -> Bode
         return BodeMetrics(params.dc_gain, None, None, None)
 
     def h_at(f: float):
-        return _open_loop(params, np.asarray(f, dtype=float))
+        return open_loop_response(params, f)
 
-    # The bisections stay within brackets of grid points, where H was checked
-    # finite; a pole's f / corner may overflow there, driving H to 0 as on the grid.
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = int(crossings[0])
-        crossover = _bisect(lambda f: abs(h_at(f)) - 1.0, grid[k], grid[k + 1])
-        pm = 180.0 + float(open_loop_phase_deg(params, crossover))
+    # The bisections stay within brackets of grid points, where H was checked finite.
+    k = int(crossings[0])
+    crossover = _bisect(lambda f: abs(h_at(f)) - 1.0, grid[k], grid[k + 1])
+    pm = 180.0 + float(open_loop_phase_deg(params, crossover))
 
-        closed_bw = None
-        if pm > 0:
-            def closed_mag(h):
-                return np.abs(h / (1.0 + h))
+    closed_bw = None
+    if pm > 0:
+        def closed_mag(h):
+            return np.abs(h / (1.0 + h))
 
-            tmag = closed_mag(h)
-            target = tmag[0] / math.sqrt(2.0)
-            below = np.nonzero(tmag < target)[0]
-            if below.size:
-                j = int(below[0])
-                closed_bw = _bisect(
-                    lambda f: closed_mag(h_at(f)) - target,
-                    grid[max(j - 1, 0)],
-                    grid[j],
-                )
+        tmag = closed_mag(h)
+        target = tmag[0] / math.sqrt(2.0)
+        below = np.nonzero(tmag < target)[0]
+        if below.size:
+            j = int(below[0])
+            closed_bw = _bisect(
+                lambda f: closed_mag(h_at(f)) - target,
+                grid[max(j - 1, 0)],
+                grid[j],
+            )
     return BodeMetrics(params.dc_gain, crossover, pm, closed_bw)
 
 
@@ -263,24 +244,18 @@ def scale_to_closed_loop_bandwidth(params: LoopParams, target_hz: float) -> Loop
 
     @functools.cache  # the bracket check repeats the loops' last multipliers
     def bw_for(mult: float) -> float:
-        p = replace(params, k_lf_v_per_v=params.k_lf_v_per_v * mult)
         try:
+            p = replace(params, k_lf_v_per_v=params.k_lf_v_per_v * mult)
             m = bode_metrics(p, f_max_hz=f_scan)
-        except ValueError:
-            if mult == 1.0:
-                raise  # the given loop's own response
-            return math.nan  # a scaled gain past the float range: no bandwidth to compare
+        except ValueError:  # a scaled gain outside its range, or a response past the float range
+            return math.nan  # no bandwidth to compare
         # No unity-gain crossing or negative margin: treat as no bandwidth.
         return m.closed_loop_bw_hz or 0.0
 
-    lo = hi = 1.0
-    for _ in range(16):
-        if bw_for(lo) < target_hz:
-            break
+    lo = hi = 1.0  # each bracket search ends by the time the gain leaves its range (nan)
+    while bw_for(lo) >= target_hz:
         lo /= 10.0
-    for _ in range(16):
-        if bw_for(hi) > target_hz:
-            break
+    while bw_for(hi) <= target_hz:
         hi *= 10.0
     if not (bw_for(lo) < target_hz < bw_for(hi)):
         raise ConvergenceError(

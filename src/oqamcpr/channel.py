@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constellation import OffsetQamConstellation
+from .domain import check
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -52,8 +53,7 @@ class LaserModel:
     linewidth_hz: float
 
     def __post_init__(self):
-        if self.linewidth_hz < 0:
-            raise ValueError(f"linewidth_hz must be >= 0, got {self.linewidth_hz}")
+        check("laser.linewidth_hz", self.linewidth_hz)
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,8 @@ class PathMismatch:
     refractive_index: float = DEFAULT_REFRACTIVE_INDEX
 
     def __post_init__(self):
-        if self.delta_l_m < 0:
-            raise ValueError(f"delta_l_m must be >= 0, got {self.delta_l_m}")
-        if self.refractive_index <= 0:
-            raise ValueError("refractive_index must be > 0")
-        if not math.isfinite(self.tau_s):
-            raise ValueError(f"mismatch.delta_l_m = {self.delta_l_m:g} at refractive index "
-                             f"{self.refractive_index:g} gives a delay past the float range")
+        check("mismatch.delta_l_m", self.delta_l_m)
+        check("mismatch.refractive_index", self.refractive_index)
 
     @property
     def tau_s(self) -> float:
@@ -94,12 +89,12 @@ class ChannelScenario:
     pd_bandwidth_hz: float | None = None
 
     def __post_init__(self):
-        if self.baud_rate_hz <= 0:
-            raise ValueError("baud_rate_hz must be > 0")
+        check("channel.baud_rate_hz", self.baud_rate_hz)
+        check("channel.phi_offset_rad", self.phi_offset_rad)
         if not (self.n0 >= 0 and math.isfinite(self.n0)):
             raise ValueError(f"n0 must be a finite number >= 0, got {self.n0}")
-        if self.pd_bandwidth_hz is not None and self.pd_bandwidth_hz <= 0:
-            raise ValueError("pd_bandwidth_hz must be > 0")
+        if self.pd_bandwidth_hz is not None:
+            check("channel.pd_bandwidth_hz", self.pd_bandwidth_hz)
 
 
 def delay_in_samples(tau_s: float, dt_s: float) -> int:
@@ -112,8 +107,7 @@ def delay_in_samples(tau_s: float, dt_s: float) -> int:
         return 0
     samples = tau_s / dt_s
     if not math.isfinite(samples):
-        raise ValueError(f"the mismatch delay tau={tau_s:g} (from mismatch.delta_l_m and "
-                         f"mismatch.refractive_index) is not a finite number of "
+        raise ValueError(f"the mismatch delay tau={tau_s:g} is not a finite number of "
                          f"dt_s={dt_s:g} samples")
     d = int(round(samples))
     exact = abs(d * dt_s - tau_s) <= 1e-9 * tau_s and d >= 1
@@ -149,9 +143,6 @@ class BeatNoise:
         noisy = laser.linewidth_hz > 0 and mismatch.tau_s > 0
         self.delay_samples = delay_in_samples(mismatch.tau_s, dt_s) if noisy else 0
         self._sigma = math.sqrt(2.0 * math.pi * laser.linewidth_hz * dt_s)
-        if noisy and math.isinf(self._sigma):
-            raise ValueError(f"laser.linewidth_hz = {laser.linewidth_hz:g}: the Wiener phase step "
-                             f"variance 2 pi linewidth dt_s overflows at dt_s={dt_s:g}")
         self._rng = rng
         # phi of the last d samples, oldest first
         self._past = np.cumsum(rng.normal(0.0, self._sigma, self.delay_samples))

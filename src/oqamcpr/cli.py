@@ -84,11 +84,9 @@ def _run_bode(sc: ScenarioConfig) -> Table:
         f"reference_deviation: {n}"
         for n in analysis.reference_discrepancies(metrics_obj, reference)
     ]
-    with np.errstate(divide="ignore"):  # |H| = 0 below the float range reads -inf dB
-        mag_db = 20.0 * np.log10(np.abs(h))
     columns = {
         "f_hz": grid,
-        "mag_db": mag_db,
+        "mag_db": 20.0 * np.log10(np.abs(h)),
         "phase_deg": analysis.open_loop_phase_deg(params, grid),
     }
     plot = {

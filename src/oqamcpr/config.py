@@ -26,7 +26,8 @@ from .constellation import (
     build_constellation,
     n0_from_snr_db,
 )
-from .cpr import DetectorMethod
+from .cpr import MIN_LOCK_M_RATIO, DetectorMethod
+from .domain import RANGES
 from .errors import ConfigError
 from .reports import value_slug
 
@@ -71,6 +72,13 @@ def _one_of(choices):
     return (f"one of {list(choices)}", lambda v: v in choices)
 
 
+def _within(dotted: str):
+    """The rule of a key with a physical range (``domain.RANGES``)."""
+    lo, hi, _ = RANGES[dotted]
+    return (f"a number in [{lo:g}, {hi:g}]",
+            lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and lo <= v <= hi)
+
+
 # A rule is (description, predicate); the description completes "must be ...".
 NUMBER = ("a finite number", _is_number)
 POSITIVE = ("a finite number > 0", lambda v: _is_number(v) and v > 0)
@@ -98,25 +106,25 @@ OPTIONAL = object()  # the key may be absent and gets no default
 SCHEMA = {
     "modulation": {
         "order": (REQUIRED, _one_of(SUPPORTED_ORDERS)),
-        "a_oma": (1.0, POSITIVE),
+        "a_oma": (1.0, _within("modulation.a_oma")),
         "a0": (OPTIONAL, NON_NEGATIVE),
-        "m_ratio": (0.1, NON_NEGATIVE),
+        "m_ratio": (0.1, _within("modulation.m_ratio")),
     },
-    "laser": {"linewidth_hz": (0.0, NON_NEGATIVE)},
+    "laser": {"linewidth_hz": (0.0, _within("laser.linewidth_hz"))},
     "mismatch": {
-        "delta_l_m": (0.0, NON_NEGATIVE),
-        "refractive_index": (DEFAULT_REFRACTIVE_INDEX, POSITIVE),
+        "delta_l_m": (0.0, _within("mismatch.delta_l_m")),
+        "refractive_index": (DEFAULT_REFRACTIVE_INDEX, _within("mismatch.refractive_index")),
     },
     "loop": {
-        **{key: (value, POSITIVE) for key, value in asdict(DEFAULT_LOOP).items()},
+        **{key: (value, _within(f"loop.{key}")) for key, value in asdict(DEFAULT_LOOP).items()},
         "detector_method": ("method1", _one_of([m.value for m in DetectorMethod])),
-        "closed_loop_bw_hz": (OPTIONAL, POSITIVE),
+        "closed_loop_bw_hz": (OPTIONAL, _within("loop.closed_loop_bw_hz")),
     },
     "channel": {
-        "baud_rate_hz": (100e9, POSITIVE),
-        "snr_db": (OPTIONAL, NUMBER),
-        "pd_bandwidth_hz": (OPTIONAL, POSITIVE),
-        "phi_offset_rad": (0.0, NUMBER),
+        "baud_rate_hz": (100e9, _within("channel.baud_rate_hz")),
+        "snr_db": (OPTIONAL, _within("channel.snr_db")),
+        "pd_bandwidth_hz": (OPTIONAL, _within("channel.pd_bandwidth_hz")),
+        "phi_offset_rad": (0.0, _within("channel.phi_offset_rad")),
     },
     "run": {
         "mode": (REQUIRED, _one_of(MODES)),
@@ -180,6 +188,10 @@ def _resolve(data: dict, raw: str | None) -> dict:
     source = "a0" if "a0" in mod and "m_ratio" not in data["modulation"] else "m_ratio"
     if source == "a0":
         mod["m_ratio"] = mod["a0"] / mod["a_oma"]
+        description, ok = SCHEMA["modulation"]["m_ratio"][1]
+        if not ok(mod["m_ratio"]):
+            _fail(raw, "a0", f"modulation.m_ratio = a0 / a_oma = {mod['m_ratio']:g} "
+                             f"must be {description}")
     elif "a0" not in mod:
         mod["a0"] = mod["m_ratio"] * mod["a_oma"]
     elif abs(mod["a0"] - mod["m_ratio"] * mod["a_oma"]) > 1e-9 * max(1.0, abs(mod["a0"])):
@@ -187,8 +199,9 @@ def _resolve(data: dict, raw: str | None) -> dict:
         # kept as given so a replay uses the same a0; reject only when
         # they disagree.
         _fail(raw, "a0", "a0 and m_ratio disagree; give one of them")
-    if cfg["run"]["mode"] == "lock" and mod["a0"] == 0:
-        _fail(raw, source, "lock mode needs a0 = m_ratio * a_oma > 0")
+    if cfg["run"]["mode"] == "lock" and mod["m_ratio"] < MIN_LOCK_M_RATIO:
+        _fail(raw, source, f"lock mode needs m_ratio = a0 / a_oma >= {MIN_LOCK_M_RATIO:g}, "
+                           "the offset the phase detectors read")
     if cfg["run"]["mode"] == "ber-sweep" and "snr_grid_db" not in cfg["run"]:
         _fail(raw, "snr_grid_db", "run.snr_grid_db is required for ber-sweep mode")
     return cfg
@@ -290,8 +303,6 @@ class ScenarioConfig:
         chan = self.data["channel"]
         snr_db = chan.get("snr_db")
         n0 = 0.0 if snr_db is None else n0_from_snr_db(self.constellation(), snr_db)
-        if not math.isfinite(n0):
-            raise ConfigError(f"channel.snr_db = {snr_db:g} dB gives no finite noise PSD n0")
         return ChannelScenario(
             baud_rate_hz=chan["baud_rate_hz"],
             laser=LaserModel(self.data["laser"]["linewidth_hz"]),

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import check
+
 SUPPORTED_ORDERS = (4, 16, 64, 256)
 
 
@@ -62,22 +64,19 @@ def build_constellation(order: int, a_oma: float, a0: float) -> OffsetQamConstel
 
     Args:
         order: symbol count, one of 4, 16, 64, 256 (square QAM only).
-        a_oma: full outer amplitude per axis, > 0 (arbitrary linear units).
-        a0: center offset applied equally to I and Q, >= 0.
+        a_oma: full outer amplitude per axis (arbitrary linear units).
+        a0: center offset applied equally to I and Q.
 
     Raises:
-        ValueError: unsupported order, non-positive a_oma, negative a0, an a0
-            under which levels or thresholds coincide, or a symbol energy
-            (Es/N0 divides by it) outside the normal floats.
+        ValueError: unsupported order, or an a_oma or m_ratio = a0 / a_oma
+            outside its range (``domain.RANGES``).
     """
     if order not in SUPPORTED_ORDERS:
         raise ValueError(
             f"unsupported order {order}: must be one of {SUPPORTED_ORDERS}"
         )
-    if not a_oma > 0:
-        raise ValueError(f"a_oma must be > 0, got {a_oma}")
-    if a0 < 0:
-        raise ValueError(f"a0 must be >= 0, got {a0}")
+    check("modulation.a_oma", a_oma)
+    check("modulation.m_ratio", a0 / a_oma)
 
     m = int(round(math.sqrt(order)))
     k = np.arange(1, m + 1)
@@ -90,25 +89,11 @@ def build_constellation(order: int, a_oma: float, a0: float) -> OffsetQamConstel
     level_bits = ((gray[:, None] >> np.arange(nb - 1, -1, -1)) & 1).astype(np.uint8)
     bit_map = np.hstack((level_bits[ki], level_bits[kq]))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # values past the float range fail below
-        levels = (2 * k - 1 - m) * a_oma / (2 * (m - 1))
-        points = np.column_stack((levels[ki] + a0, levels[kq] + a0))
-        mids = (levels[1:] + levels[:-1]) / 2
-        thresholds = mids + a0
-        # An offset past the levels' float resolution merges levels or thresholds.
-        merged = any(np.all(np.diff(v) > 0) and not np.all(np.diff(v + a0) > 0)
-                     for v in (levels, mids))
-        symbol_energy = float(np.mean(np.sum((points - float(a0)) ** 2, axis=1)))
-    if merged:
-        raise ValueError(
-            f"modulation.a0 = {a0:g} (modulation.m_ratio = {a0 / a_oma:g}) merges the "
-            f"{m} levels per axis, or the thresholds between them, in float arithmetic"
-        )
-    if not np.finfo(float).tiny <= symbol_energy < math.inf:
-        raise ValueError(
-            f"modulation.a_oma = {a_oma:g} gives the symbol energy {symbol_energy:g}, "
-            "outside the normal float range"
-        )
+    levels = (2 * k - 1 - m) * a_oma / (2 * (m - 1))
+    points = np.column_stack((levels[ki] + a0, levels[kq] + a0))
+    mids = (levels[1:] + levels[:-1]) / 2
+    thresholds = mids + a0
+    symbol_energy = float(np.mean(np.sum((points - float(a0)) ** 2, axis=1)))
 
     c = OffsetQamConstellation(
         order=order,

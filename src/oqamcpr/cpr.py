@@ -43,6 +43,9 @@ from .constellation import OffsetQamConstellation
 DEFAULT_AVERAGING_CUTOFF_HZ = 1e9
 HYSTERESIS_FRACTION = 0.01
 LOCK_TOLERANCE_RAD = math.radians(1.0)
+# The detectors read the offset a0 against data of swing a_oma, which below
+# this m_ratio outweighs it a thousandfold.
+MIN_LOCK_M_RATIO = 1e-3
 # Samples per chunk of blocks drawn at once.  A constant, not a knob: with
 # beat noise or AWGN a seed's draws depend on it.  A clean link's draws do
 # not, but its outputs do in the last bits: the chunk's matmul rounds with
@@ -87,10 +90,6 @@ def _loop_coefficients(params: LoopParams, dt_s: float):
     az = 2.0 / (dt_s * 2.0 * math.pi * params.f_lf_zero_hz)
     ap = 2.0 / (dt_s * 2.0 * math.pi * params.f_lf_pole_hz)
     aps = 2.0 / (dt_s * 2.0 * math.pi * params.f_ps_hz)
-    for name, a in (("f_lf_zero_hz", az), ("f_lf_pole_hz", ap), ("f_ps_hz", aps)):
-        if a == math.inf:
-            raise ValueError(f"loop.{name} = {getattr(params, name):g} Hz is too low for "
-                             f"the loop step {dt_s:g} s: its bilinear coefficient overflows")
     k = params.k_lf_v_per_v
     return (
         (k * (1.0 + az) / (1.0 + ap), k * (1.0 - az) / (1.0 + ap), (1.0 - ap) / (1.0 + ap)),
@@ -122,12 +121,8 @@ def _finish_report(t, psi, dphi, err, method) -> LockReport:
     n = len(dphi)
     tail = dphi[int(0.9 * n):]
     half = len(tail) // 2
-    with np.errstate(over="ignore"):  # a sum past the float range reads inf
-        mean_tail = float(np.mean(tail))
-        drift = abs(float(np.mean(tail[half:])) - float(np.mean(tail[:half])))
-    if not (math.isfinite(mean_tail) and math.isfinite(drift)):
-        raise ValueError("channel.phi_offset_rad: the phase error summed over the last 10% "
-                         "of the run is past the float range")
+    mean_tail = float(np.mean(tail))
+    drift = abs(float(np.mean(tail[half:])) - float(np.mean(tail[:half])))
     period = math.pi if method is DetectorMethod.METHOD1 else math.pi / 2
     lock_point = period * round(mean_tail / period)
     residual = mean_tail - lock_point
@@ -166,7 +161,12 @@ def _block_weights(n: int, dt_s: float, pd_cutoff_hz: float | None):
 
 def _awgn_map(ww, sigma):
     """M: z @ M for standard normals z (..., 2) has the law of ww @ w, w AWGN of std sigma."""
-    return sigma * np.linalg.cholesky(ww @ ww.T).T
+    cov = ww @ ww.T
+    try:
+        return sigma * np.linalg.cholesky(cov).T
+    except np.linalg.LinAlgError:  # a sample so long that the averaging state forgets the block
+        w, v = np.linalg.eigh(cov)
+        return sigma * np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
 
 
 def _symbol_blocks(scenario, constellation, seed, decimation, samples_per_symbol):
@@ -270,8 +270,8 @@ def simulate_lock(
     Non-convergence shows up as ``locked=False`` in the report, never as
     an exception.
     """
-    if constellation.a0 <= 0:
-        raise ValueError("offset-QAM phase detection requires a0 > 0")
+    if constellation.m_ratio < MIN_LOCK_M_RATIO:
+        raise ValueError(f"offset-QAM phase detection requires a0 >= {MIN_LOCK_M_RATIO:g} a_oma")
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
     if samples_per_symbol < 1:

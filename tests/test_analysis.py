@@ -18,6 +18,7 @@ from oqamcpr.analysis import (
     scale_to_closed_loop_bandwidth,
     static_phase_error,
 )
+from oqamcpr.domain import RANGES
 from oqamcpr.errors import ConvergenceError
 
 
@@ -130,7 +131,8 @@ class TestBodeMetrics:
         assert metrics.phase_margin_deg == pytest.approx(90.57, abs=0.1)
 
     def test_overflowing_gain_product_rejected(self):
-        with pytest.raises(ValueError, match="dc_gain"):
+        # Gains within their range multiply to at most 1e36.
+        with pytest.raises(ValueError, match=r"loop\.k_lf_v_per_v = 1e\+308 is outside its range"):
             LoopParams(1.0, 1e308, 1.0, 1e308, 1e9, 1e9, 1e3)
 
     @pytest.mark.parametrize("key, value, f_hz", [
@@ -140,17 +142,20 @@ class TestBodeMetrics:
         ("f_ps_hz", 1e-310, 1.0),
     ])
     def test_response_outside_float_range_names_its_key(self, key, value, f_hz):
-        params = replace(DEFAULT_LOOP, **{key: value})
-        for f in (f_hz, np.array([1.0, f_hz])):
-            with pytest.raises(ValueError, match=rf"loop\.{key} = .* outside the float range"):
-                open_loop_response(params, f)
-        with pytest.raises(ValueError, match=rf"loop\.{key}"):
-            bode_metrics(params)
+        # Each value would put the response past the float range at f_hz: it is
+        # outside its key's range, and the nearest bound gives a finite response.
+        with pytest.raises(ValueError, match=rf"loop\.{key} = .* is outside its range"):
+            replace(DEFAULT_LOOP, **{key: value})
+        lo, hi, _ = RANGES[f"loop.{key}"]
+        params = replace(DEFAULT_LOOP, **{key: min(max(value, lo), hi)})
+        assert np.all(np.isfinite(open_loop_response(params, np.array([1.0, f_hz]))))
+        assert bode_metrics(params).dc_gain == params.dc_gain
 
-    def test_pole_past_float_range_drives_the_response_to_zero(self):
-        for key in ("f_lf_pole_hz", "f_ps_hz"):
-            h = open_loop_response(replace(DEFAULT_LOOP, **{key: 1e-300}), np.array([1e3, 1e10]))
-            assert np.all(np.isfinite(h)) and h[1] == 0
+    def test_response_past_float_range_names_the_frequency(self):
+        # Within the ranges only a frequency near 1e300 Hz takes H past the float range.
+        params = replace(DEFAULT_LOOP, k_lf_v_per_v=1e9, f_lf_zero_hz=1.0)
+        with pytest.raises(ValueError, match=r"outside the float range at 1e\+305 Hz"):
+            open_loop_response(params, np.array([1.0, 1e305]))
 
     def test_degenerate_loop_reports_absent_metrics(self):
         params = LoopParams(1e-6, 1e-3, 1.0, 1e-3, 1e9, 1e9, 1e3)
@@ -220,7 +225,7 @@ class TestBandwidthScaling:
             scale_to_closed_loop_bandwidth(DEFAULT_LOOP, 1e300)
 
     def test_given_loop_past_float_range_names_its_key(self):
-        with pytest.raises(ValueError, match=r"loop\.f_lf_zero_hz"):
+        with pytest.raises(ValueError, match=r"loop\.f_lf_zero_hz = 1e-300 is outside its range"):
             scale_to_closed_loop_bandwidth(replace(DEFAULT_LOOP, f_lf_zero_hz=1e-300), 1e6)
 
     def test_target_without_a_finite_scan_band_names_its_key(self):

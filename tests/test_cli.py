@@ -41,7 +41,8 @@ BER_CFG = {
 # Each case: changes merged into a short lock config, and the key the
 # error message must name.  The grid, sweep, reference and output_dir
 # cases used to end in a traceback; the lock-* cases are rejected at run
-# time by the simulation.
+# time by the simulation.  A number outside its key's physical range
+# (domain.RANGES) is rejected by the schema, before anything runs.
 BAD_INPUTS = [
     pytest.param({"run": {"decimation": 0}}, "decimation", id="run-decimation-0"),
     pytest.param({"run": {"decimation": "a"}}, "decimation", id="run-decimation-a"),
@@ -93,7 +94,8 @@ BAD_INPUTS = [
     pytest.param({"run": {"mode": "bode", "reference_metrics": {"crossover_hz": 0}}},
                  "reference_metrics", id="reference-zero"),
     pytest.param({"loop": {"k_lf_v_per_v": 1e308, "k_ps_rad_per_v": 1e308},
-                  "run": {"mode": "bode", "svg": True}}, "dc_gain", id="bode-gain-product-inf"),
+                  "run": {"mode": "bode", "svg": True}}, "loop.k_lf_v_per_v",
+                 id="bode-gain-product-inf"),
     pytest.param({"run": {"output_dir": 5}}, "output_dir", id="output_dir-5"),
     pytest.param({"channel": {"baud_rate_hz": 10**400}}, "baud_rate_hz", id="number-beyond-float"),
     pytest.param({"run": {"seed": -1}}, "seed", id="lock-seed-negative"),
@@ -152,8 +154,7 @@ BAD_INPUTS = [
                       "mismatch": {"delta_l_m": 0.1, "refractive_index": 1.7e308},
                       "run": {"mode": mode, "duration_s": 2e-7, "num_symbols": 20,
                               "snr_grid_db": [10, 12]}},
-                     "mismatch.delta_l_m and mismatch.refractive_index",
-                     id=f"{mode}-refractive_index-1.7e308")
+                     "mismatch.refractive_index", id=f"{mode}-refractive_index-1.7e308")
         for mode in ("psd", "ber-sweep", "lock", "trace")
     ),
     # A loop response outside the float range on the band a mode analyses.
@@ -168,12 +169,19 @@ BAD_INPUTS = [
     # The loop filter's bilinear coefficient 2 / (2 pi f_p dt) overflows.
     pytest.param({"loop": {"f_lf_pole_hz": 1e-305}, "run": {"duration_s": 2e-7}},
                  "loop.f_lf_pole_hz", id="lock-f_lf_pole_hz-1e-305"),
-    pytest.param({"loop": {"closed_loop_bw_hz": 1.7e308}, "run": {"mode": "psd"}},
-                 "loop.closed_loop_bw_hz", id="psd-closed_loop_bw_hz-1.7e308"),
+    *(
+        pytest.param({"loop": {"closed_loop_bw_hz": value}, "run": {"mode": "psd"}},
+                     "loop.closed_loop_bw_hz", id=f"psd-closed_loop_bw_hz-{tag}")
+        for tag, value in (("1.7e308", 1.7e308), ("1e300", 1e300))
+    ),
     # An offset past the levels' float resolution: 1e17 + each 16-QAM level is one value.
     pytest.param({"modulation": {"order": 16, "a_oma": 1.0, "m_ratio": 1e17},
                   "run": {"mode": "ber-sweep", "snr_grid_db": [10, 20]}},
-                 "modulation.a0", id="ber-sweep-m_ratio-1e17"),
+                 "modulation.m_ratio", id="ber-sweep-m_ratio-1e17"),
+    # A baud rate whose sample step 1 / baud_rate_hz is past the float range,
+    # where a trace without beat noise would write nan and inf times.
+    pytest.param({"channel": {"baud_rate_hz": 1e-309}, "run": {"mode": "trace", "num_symbols": 2}},
+                 "channel.baud_rate_hz", id="trace-baud_rate_hz-1e-309"),
     # A label names the output files, so it may not lead out of the output directory.
     *(
         pytest.param({"run": {"label": label}}, "label", id=f"label-{tag}")
@@ -181,53 +189,67 @@ BAD_INPUTS = [
     ),
 ]
 
-# Extreme inputs the schema accepts that run clean: exit 0 and, as tier-1 turns
-# a RuntimeWarning into an error, no warning.  Each merges into a 4-QAM config.
+# Extreme inputs from fuzzing; each merges into a 4-QAM config.  Those inside
+# their keys' ranges run clean: exit 0 and, as tier-1 turns a RuntimeWarning
+# into an error, no warning.  Those outside a range, or below lock mode's
+# offset, exit 2 with the message given last in the case, and write nothing.
 TEN_CM = {"mismatch": {"delta_l_m": 0.1}}
 NOISY = {"laser": {"linewidth_hz": 1e6}, **TEN_CM}
 CLEAN_EXTREMES = [
-    pytest.param(mode, changes, id=f"{mode}-{tag}")
-    for mode, tag, changes in [
-        ("lock", "pd_bandwidth-1e-300", {"channel": {"pd_bandwidth_hz": 1e-300}}),
-        ("lock", "pd_bandwidth-1e300", {"channel": {"pd_bandwidth_hz": 1e300}}),
-        ("lock", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM}),
-        ("lock", "phi_offset-1e300", {"channel": {"phi_offset_rad": 1e300}}),
-        ("lock", "k_ps-1e300", {"loop": {"k_ps_rad_per_v": 1e300}}),
-        ("lock", "a0-1e-300", {"modulation": {"a0": 1e-300}}),
-        ("lock", "a_oma-1e150", {"modulation": {"a_oma": 1e150}}),
-        ("lock", "snr_db--300", {"channel": {"snr_db": -300}}),
-        ("bode", "f_lf_pole-1e300", {"loop": {"f_lf_pole_hz": 1e300}}),
-        ("bode", "k_lf-1e-300", {"loop": {"k_lf_v_per_v": 1e-300}}),
-        ("bode", "k_pd-5e-324", {"loop": {"k_pd_v_per_rad": 5e-324}}),  # |H| = 0: -inf dB
-        ("bode", "f_lf_pole-1e-305", {"loop": {"f_lf_pole_hz": 1e-305}}),  # f / pole = inf
-        ("psd", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM}),
-        ("psd", "linewidth-1e-300", {"laser": {"linewidth_hz": 1e-300}, **TEN_CM}),
-        ("psd", "k_ps-1e-300", {"loop": {"k_ps_rad_per_v": 1e-300}, **NOISY}),
-        ("psd", "f_ps-1e300", {"loop": {"f_ps_hz": 1e300}, **NOISY}),
-        ("ber-sweep", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM}),
+    pytest.param(mode, changes, outside, id=f"{mode}-{tag}")
+    for mode, tag, changes, outside in [
+        ("lock", "pd_bandwidth-1e-300", {"channel": {"pd_bandwidth_hz": 1e-300}},
+         "channel.pd_bandwidth_hz"),
+        ("lock", "pd_bandwidth-1e300", {"channel": {"pd_bandwidth_hz": 1e300}},
+         "channel.pd_bandwidth_hz"),
+        ("lock", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM},
+         "laser.linewidth_hz"),
+        ("lock", "phi_offset-1e300", {"channel": {"phi_offset_rad": 1e300}},
+         "channel.phi_offset_rad"),
+        ("lock", "k_ps-1e300", {"loop": {"k_ps_rad_per_v": 1e300}}, "loop.k_ps_rad_per_v"),
+        # In range, but below the offset the lock-mode detectors need.
+        ("lock", "a0-1e-300", {"modulation": {"a0": 1e-300}}, "lock mode needs m_ratio"),
+        ("lock", "a_oma-1e150", {"modulation": {"a_oma": 1e150}}, "modulation.a_oma"),
+        ("lock", "snr_db--300", {"channel": {"snr_db": -300}}, "channel.snr_db"),
+        ("bode", "f_lf_pole-1e300", {"loop": {"f_lf_pole_hz": 1e300}}, "loop.f_lf_pole_hz"),
+        ("bode", "k_lf-1e-300", {"loop": {"k_lf_v_per_v": 1e-300}}, "loop.k_lf_v_per_v"),
+        ("bode", "k_pd-5e-324", {"loop": {"k_pd_v_per_rad": 5e-324}}, "loop.k_pd_v_per_rad"),
+        ("bode", "f_lf_pole-1e-305", {"loop": {"f_lf_pole_hz": 1e-305}}, "loop.f_lf_pole_hz"),
+        ("psd", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM},
+         "laser.linewidth_hz"),
+        ("psd", "linewidth-1e-300", {"laser": {"linewidth_hz": 1e-300}, **TEN_CM}, None),
+        ("psd", "k_ps-1e-300", {"loop": {"k_ps_rad_per_v": 1e-300}, **NOISY},
+         "loop.k_ps_rad_per_v"),
+        ("psd", "f_ps-1e300", {"loop": {"f_ps_hz": 1e300}, **NOISY}, "loop.f_ps_hz"),
+        ("ber-sweep", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM},
+         "laser.linewidth_hz"),
         ("ber-sweep", "linewidth-1e9-1m", {"laser": {"linewidth_hz": 1e9},
-                                            "mismatch": {"delta_l_m": 1.0}}),
-        ("ber-sweep", "grid--400--300", {"run": {"snr_grid_db": [-400, -300]}}),
-        ("trace", "one-symbol", {"run": {"samples_per_symbol": 1, "num_symbols": 1}}),
-        ("trace", "pd_bandwidth-1e-300", {"channel": {"pd_bandwidth_hz": 1e-300}}),
+                                            "mismatch": {"delta_l_m": 1.0}}, None),
+        ("ber-sweep", "grid--400--300", {"run": {"snr_grid_db": [-400, -300]}}, None),
+        ("trace", "one-symbol", {"run": {"samples_per_symbol": 1, "num_symbols": 1}}, None),
+        ("trace", "pd_bandwidth-1e-300", {"channel": {"pd_bandwidth_hz": 1e-300}},
+         "channel.pd_bandwidth_hz"),
         ("trace", "phi_offset-1e300-svg", {"channel": {"phi_offset_rad": 1e300},
-                                           "run": {"svg": True}}),
-        ("trace", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM}),
-        ("trace", "phi_offset-1.7e308", {"channel": {"phi_offset_rad": 1.7e308}}),
-        # The smallest subnormal of the keys that exit 2 at 1.7e308 (BAD_INPUTS).
-        ("lock", "phi_offset-5e-324", {"channel": {"phi_offset_rad": 5e-324}}),
+                                           "run": {"svg": True}}, "channel.phi_offset_rad"),
+        ("trace", "linewidth-1e300", {"laser": {"linewidth_hz": 1e300}, **TEN_CM},
+         "laser.linewidth_hz"),
+        ("trace", "phi_offset-1.7e308", {"channel": {"phi_offset_rad": 1.7e308}},
+         "channel.phi_offset_rad"),
+        # The smallest subnormal of keys whose 1.7e308 exits 2 (BAD_INPUTS).
+        ("lock", "phi_offset-5e-324", {"channel": {"phi_offset_rad": 5e-324}}, None),
         *(
-            (mode, "linewidth-5e-324", {"laser": {"linewidth_hz": 5e-324}, **TEN_CM})
+            (mode, "linewidth-5e-324", {"laser": {"linewidth_hz": 5e-324}, **TEN_CM}, None)
             for mode in ("lock", "trace")
         ),
         *(
             (mode, "refractive_index-5e-324",
-             {**NOISY, "mismatch": {"delta_l_m": 0.1, "refractive_index": 5e-324}})
+             {**NOISY, "mismatch": {"delta_l_m": 0.1, "refractive_index": 5e-324}},
+             "mismatch.refractive_index")
             for mode in ("psd", "ber-sweep")
         ),
-        # |1 + H|^2 past the float range, or a pole's f / corner, drive the PSD to 0.
+        # Loops whose |1 + H|^2, or a pole's f / corner, would pass the float range.
         *(
-            (mode, f"{key}-{value:g}", {"loop": {key: value}, **NOISY})
+            (mode, f"{key}-{value:g}", {"loop": {key: value}, **NOISY}, f"loop.{key}")
             for mode in ("psd", "ber-sweep")
             for key, value in (("k_lf_v_per_v", 1e300), ("f_lf_pole_hz", 1e-300),
                                ("f_ps_hz", 1e-300))
@@ -352,28 +374,21 @@ class TestCliCommands:
         assert key in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
-    @pytest.mark.parametrize("mode, changes", CLEAN_EXTREMES)
+    @pytest.mark.parametrize("mode, changes, outside", CLEAN_EXTREMES)
     @pytest.mark.filterwarnings("ignore:sigma_pn=.*comfort zone:UserWarning")
-    def test_extreme_valid_input_runs_clean(self, tmp_path, capsys, mode, changes):
+    def test_extreme_valid_input_runs_clean(self, tmp_path, capsys, mode, changes, outside):
         outdir = tmp_path / "out"
         rc = main(["run", str(write_cfg(tmp_path, short_run(mode, changes))), "-o", str(outdir)])
-        assert rc == 0, capsys.readouterr().err
+        err = capsys.readouterr().err
+        if outside is not None:
+            assert rc == 2 and outside in err and "Traceback" not in err, err
+            assert not any(outdir.glob("*"))
+            return
+        assert rc == 0, err
         for csv in outdir.glob("*.csv"):
             _, cols = read_csv(csv)
             cols.pop("loop_bw_hz", None)  # nan marks a loop without a closed-loop bandwidth
             assert not np.isnan(list(cols.values())).any(), csv.name
-
-    def test_loop_bandwidth_past_float_range_exit_3(self, tmp_path, capsys):
-        # Scaling K_lf toward 1e300 Hz overflows the response on the scan band:
-        # the scaled loops have no bandwidth to compare, and the search fails.
-        cfg = {"modulation": {"order": 4}, "laser": {"linewidth_hz": 1e6},
-               "mismatch": {"delta_l_m": 0.1}, "loop": {"closed_loop_bw_hz": 1e300},
-               "run": {"mode": "psd"}}
-        outdir = tmp_path / "out"
-        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
-        assert rc == 3
-        assert "closed-loop bandwidth 1e+300 Hz" in capsys.readouterr().err
-        assert list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize("mode", ["psd", "ber-sweep"])
     def test_link_without_linewidth_skips_the_delay_check(self, tmp_path, capsys, mode):
@@ -412,7 +427,8 @@ class TestCliCommands:
 
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BER_CFG))
-        cfg["loop"] = {"closed_loop_bw_hz": 1e30}
+        # The gain product stays below 1 at any k_lf in range: no crossover to scale.
+        cfg["loop"] = {"k_ps_rad_per_v": 1e-9, "closed_loop_bw_hz": 1e6}
         path = write_cfg(tmp_path, cfg)
         rc = main(["run", str(path), "-o", str(tmp_path / "out")])
         assert rc == 3
@@ -499,7 +515,7 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 2
         assert "snr_db" in err and "Traceback" not in err
-        assert list(outdir.iterdir()) == []
+        assert not any(outdir.glob("*"))
 
     @pytest.mark.parametrize("mode", ["psd", "ber-sweep"])
     def test_snr_db_beyond_float_range_exit_2_though_unused(self, tmp_path, capsys, mode):
@@ -511,7 +527,7 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert rc == 2
         assert "channel.snr_db" in err and "Traceback" not in err
-        assert list(outdir.iterdir()) == []
+        assert not any(outdir.glob("*"))
 
     @pytest.mark.parametrize("mode", ["lock", "trace"])
     def test_snr_db_above_float_range_is_noiseless(self, tmp_path, mode):

@@ -13,6 +13,7 @@ from oqamcpr.constellation import (
     demap_point,
     map_bits,
 )
+from oqamcpr.domain import RANGES
 
 ORDERS = (4, 16, 64, 256)
 
@@ -43,18 +44,19 @@ def test_unsupported_order_rejected(order):
 def test_bad_amplitudes_rejected():
     with pytest.raises(ValueError, match="a_oma"):
         build_constellation(4, 0.0, 0.1)
-    with pytest.raises(ValueError, match="a0"):
+    with pytest.raises(ValueError, match=r"modulation\.m_ratio = -0\.1 is outside its range"):
         build_constellation(4, 1.0, -0.1)
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_symbol_energy_outside_normal_floats_rejected(order):
     # Es/N0 divides by the symbol energy: one that underflows to a subnormal
-    # or 0, or overflows, would silently give n0 = 0 or inf.
+    # or 0, or overflows, would silently give n0 = 0 or inf.  Every a_oma
+    # that would do so is outside its range, and the bounds give a_oma^2.
     for a_oma in (1e-300, 1e-165, 1e-160, 1e154, 1e300):
-        with pytest.raises(ValueError, match=r"modulation\.a_oma.*normal float range"):
+        with pytest.raises(ValueError, match=r"modulation\.a_oma = .* is outside its range"):
             build_constellation(order, a_oma, 0.1 * a_oma)
-    for a_oma in (1e-150, 1e150):
+    for a_oma in RANGES["modulation.a_oma"][:2]:
         c = build_constellation(order, a_oma, 0.1 * a_oma)
         assert c.symbol_energy == pytest.approx(average_symbol_energy(
             build_constellation(order, 1.0, 0.1)) * a_oma**2, rel=1e-12)
@@ -62,11 +64,14 @@ def test_symbol_energy_outside_normal_floats_rejected(order):
 
 def test_offset_that_merges_the_levels_rejected():
     # 1e17 + each 16-QAM level rounds to one value; the energy about a0 would be 0.
-    with pytest.raises(ValueError, match=r"modulation\.a0 = 1e\+17 \(modulation\.m_ratio = 1e\+17\)"):
+    # Such an offset is outside m_ratio's range, whose top keeps every level apart.
+    with pytest.raises(ValueError, match=r"modulation\.m_ratio = 1e\+17 is outside its range"):
         build_constellation(16, 1.0, 1e17)
-    c = build_constellation(4, 1.0, 1e10)
-    assert np.all(np.diff(c.levels + c.a0) > 0)
-    assert c.symbol_energy == 0.5
+    for order in ORDERS:
+        c = build_constellation(order, 1.0, RANGES["modulation.m_ratio"][1])
+        assert np.all(np.diff(c.levels + c.a0) > 0) and np.all(np.diff(c.thresholds) > 0)
+        assert c.symbol_energy == pytest.approx(
+            average_symbol_energy(build_constellation(order, 1.0, 0.1)), rel=1e-12)
 
 
 def test_average_symbol_energy_values():

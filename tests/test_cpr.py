@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -498,6 +499,17 @@ class TestSimulateLock:
                 self.scenario(), c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1e-4, 1,
                 samples_per_symbol=sps,
             )
+
+    def test_awgn_on_samples_longer_than_the_averaging_memory(self):
+        # A 1 MBaud sample lasts 5e-7 s, over which the 1 GHz averaging low-pass
+        # forgets its state: the block mean and the outgoing state are no longer
+        # two independent sums of the AWGN, and their covariance is singular.
+        c = build_constellation(4, 1.0, 0.1)
+        sc = ChannelScenario(baud_rate_hz=1e6, n0=n0_from_snr_db(c, 20.0))
+        loop = replace(DEFAULT_LOOP, k_lf_v_per_v=3.0)  # crossover 3.6 kHz
+        rep = simulate_lock(sc, c, loop, DetectorMethod.METHOD1, 1e-4, 1, decimation=4)
+        assert len(rep.error_v) == 25
+        assert np.all(np.isfinite(rep.delta_phi_rad)) and np.std(rep.error_v) > 0
 
     def test_rejects_too_coarse_loop_step(self):
         c = build_constellation(4, 1.0, 0.1)
