@@ -189,12 +189,9 @@ def bode_metrics(params: LoopParams, f_max_hz: float = FREQ_GRID_MAX_HZ) -> Bode
     if crossings.size == 0:
         return BodeMetrics(params.dc_gain, None, None, None)
 
-    def h_at(f: float):
-        return open_loop_response(params, f)
-
     # The bisections stay within brackets of grid points, where H was checked finite.
     k = int(crossings[0])
-    crossover = _bisect(lambda f: abs(h_at(f)) - 1.0, grid[k], grid[k + 1])
+    crossover = _bisect(lambda f: abs(open_loop_response(params, f)) - 1.0, grid[k], grid[k + 1])
     pm = 180.0 + float(open_loop_phase_deg(params, crossover))
 
     closed_bw = None
@@ -208,7 +205,7 @@ def bode_metrics(params: LoopParams, f_max_hz: float = FREQ_GRID_MAX_HZ) -> Bode
         if below.size:
             j = int(below[0])
             closed_bw = _bisect(
-                lambda f: closed_mag(h_at(f)) - target,
+                lambda f: closed_mag(open_loop_response(params, f)) - target,
                 grid[max(j - 1, 0)],
                 grid[j],
             )
