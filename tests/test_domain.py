@@ -7,7 +7,7 @@ one into an error), write a NaN or an infinity, or end in a traceback.
 
 Each mode runs from one in-range link with beat noise, AWGN, a photodiode
 filter and a phase offset, with each ranged key set to each of its bounds
-in turn, and then at eight rows of bounds that meet every two keys at all
+in turn (lock mode takes m_ratio down to its own floor only), and then at eight rows of bounds that meet every two keys at all
 four pairs of bounds; the first row puts every key at its lower bound, and
 a ninth row puts every key at its upper bound.  The run-size keys stay
 small: a lock run spans 25 loop steps of 100 symbols, a trace 20 symbols,
@@ -40,10 +40,10 @@ BASE = {
 KEYS = sorted(RANGES)
 
 # Messages of the documented exits: the loop step against the crossover, and
-# a mismatch delay finer than the sample grid (exit 2);
-# a loop bandwidth that the loop-filter gain cannot reach, and a phase
-# quadrature that cannot resolve an error rate that steps with the phase,
-# as a large offset or a high Es/N0 makes it (exit 3).
+# a mismatch delay finer than the sample grid (exit 2); a loop bandwidth that
+# the loop-filter gain cannot reach, and a phase quadrature that cannot
+# resolve an error rate that steps with the phase, as a large offset or a
+# high Es/N0 makes it (exit 3).
 PHYSICAL = {
     2: ("too coarse for crossover", "too coarse for the mismatch delay"),
     3: ("cannot reach closed-loop bandwidth", "phase quadrature did not converge"),
@@ -58,7 +58,6 @@ PHYSICAL = {
 ROW_KEYS = [key for key in KEYS if key != "loop.closed_loop_bw_hz"]
 SUBSETS = list(itertools.combinations(range(1, 8), 4))[:len(ROW_KEYS)]
 ROWS = [[r in s for s in SUBSETS] for r in range(8)] + [[True] * len(ROW_KEYS)]
-
 
 
 def bound(mode: str, key: str, upper: bool) -> float:
