@@ -96,7 +96,7 @@ def k_pd_from_physics(p: DetectorPhysics) -> float:
 
 @dataclass(frozen=True)
 class BodeMetrics:
-    """Open/closed-loop stability metrics; None when degenerate."""
+    """Open/closed-loop stability metrics; bode_metrics says when each is None."""
 
     dc_gain: float
     crossover_hz: float | None
@@ -145,10 +145,8 @@ BISECT_REL_TOL = 1e-5
 def _bisect(func, lo: float, hi: float) -> float:
     """Sign-change bisection in log-frequency space."""
     flo = func(lo)
-    for _ in range(200):
+    while hi - lo > BISECT_REL_TOL * math.sqrt(lo * hi):
         mid = math.sqrt(lo * hi)
-        if hi - lo <= BISECT_REL_TOL * mid:
-            return mid
         fmid = func(mid)
         if (fmid > 0) == (flo > 0):
             lo, flo = mid, fmid
@@ -172,43 +170,40 @@ def log_frequency_grid(
     return np.logspace(math.log10(f_min_hz), math.log10(f_max_hz), n)
 
 
-def bode_metrics(params: LoopParams, f_max_hz: float = FREQ_GRID_MAX_HZ) -> BodeMetrics:
-    """Crossover, phase margin, and closed-loop -3 dB bandwidth.
+def _closed_loop_bw(params: LoopParams, grid: np.ndarray, h: np.ndarray) -> float | None:
+    """Closed-loop -3 dB bandwidth: the first grid point where |H/(1+H)|, from
+    the open-loop response h on grid, falls 3 dB below its grid[0] value,
+    refined by bisection; None when that point lies past the grid."""
+    def closed_mag(h):
+        return np.abs(h / (1.0 + h))
+
+    tmag = closed_mag(h)
+    target = tmag[0] / math.sqrt(2.0)
+    below = np.nonzero(tmag < target)[0]
+    if below.size == 0:
+        return None
+    # The bisection stays within a bracket of grid points, where H was checked finite.
+    j = int(below[0])
+    return _bisect(lambda f: closed_mag(open_loop_response(params, f)) - target, grid[j - 1], grid[j])
+
+
+def bode_metrics(params: LoopParams) -> BodeMetrics:
+    """Crossover, phase margin, and closed-loop -3 dB bandwidth (_closed_loop_bw).
 
     The unity-gain crossover is located on a log grid and refined by
-    bisection; the phase margin is 180 deg + arg H at the crossover using
-    the unwrapped factor phases.  The closed-loop bandwidth is the first
-    frequency where |H/(1+H)| falls below its DC value by 3 dB (only
-    reported for a positive phase margin).  A loop with no unity-gain
-    crossing is reported as degenerate with absent metrics.
+    bisection; the phase margin is 180 deg + arg H there, from the unwrapped
+    factor phases, each within 90 deg, so the margin lies in (0, 270) deg.
+    A degenerate loop, with no unity-gain crossing, has neither.
     """
-    grid = log_frequency_grid(f_max_hz=f_max_hz)
+    grid = log_frequency_grid()
     h = open_loop_response(params, grid)
-    sign = np.abs(h) - 1.0
-    crossings = np.nonzero(np.diff(np.signbit(sign)))[0]
+    closed_bw = _closed_loop_bw(params, grid, h)
+    crossings = np.nonzero(np.diff(np.signbit(np.abs(h) - 1.0)))[0]
     if crossings.size == 0:
-        return BodeMetrics(params.dc_gain, None, None, None)
-
-    # The bisections stay within brackets of grid points, where H was checked finite.
+        return BodeMetrics(params.dc_gain, None, None, closed_bw)
     k = int(crossings[0])
     crossover = _bisect(lambda f: abs(open_loop_response(params, f)) - 1.0, grid[k], grid[k + 1])
     pm = 180.0 + float(open_loop_phase_deg(params, crossover))
-
-    closed_bw = None
-    if pm > 0:
-        def closed_mag(h):
-            return np.abs(h / (1.0 + h))
-
-        tmag = closed_mag(h)
-        target = tmag[0] / math.sqrt(2.0)
-        below = np.nonzero(tmag < target)[0]
-        if below.size:
-            j = int(below[0])
-            closed_bw = _bisect(
-                lambda f: closed_mag(open_loop_response(params, f)) - target,
-                grid[max(j - 1, 0)],
-                grid[j],
-            )
     return BodeMetrics(params.dc_gain, crossover, pm, closed_bw)
 
 
@@ -230,42 +225,45 @@ def static_phase_error(phi0_rad: float, params: LoopParams) -> float:
 def scale_to_closed_loop_bandwidth(params: LoopParams, target_hz: float) -> LoopParams:
     """Scale the loop-filter gain until the closed-loop bandwidth hits target.
 
-    Used by sweep presets that state a loop bandwidth instead of a gain
-    set.  Bisects the K_lf multiplier in log space to 0.1%.
+    Used by sweep presets that state a loop bandwidth instead of a gain set.  Bisects
+    the K_lf multiplier in log space to 0.1%, each gain's bandwidth on one grid to 1e5 x target.
     """
     if target_hz <= 0:
         raise ValueError("target_hz must be > 0")
     f_scan = max(FREQ_GRID_MAX_HZ, 1e5 * target_hz)
     if f_scan == math.inf:
         raise ValueError(f"loop.closed_loop_bw_hz = {target_hz:g} leaves no finite band to scan")
+    grid = log_frequency_grid(f_max_hz=f_scan)
 
     @functools.cache  # the bracket check repeats the loops' last multipliers
     def bw_for(mult: float) -> float:
         try:
             p = replace(params, k_lf_v_per_v=params.k_lf_v_per_v * mult)
-            m = bode_metrics(p, f_max_hz=f_scan)
+            bw = _closed_loop_bw(p, grid, open_loop_response(p, grid))
         except ValueError:  # a scaled gain outside its range, or a response past the float range
             return math.nan  # no bandwidth to compare
-        # No unity-gain crossing or negative margin: treat as no bandwidth.
-        return m.closed_loop_bw_hz or 0.0
+        return math.inf if bw is None else bw  # past the scan: above the target
 
     lo = hi = 1.0  # each bracket search ends by the time the gain leaves its range (nan)
     while bw_for(lo) >= target_hz:
         lo /= 10.0
     while bw_for(hi) <= target_hz:
         hi *= 10.0
-    if not (bw_for(lo) < target_hz < bw_for(hi)):
+    if bw_for(lo) < target_hz < bw_for(hi):
+        while hi / lo > 1.0 + 1e-3:
+            mid = math.sqrt(lo * hi)
+            if bw_for(mid) < target_hz:
+                lo = mid
+            else:
+                hi = mid
+    mult = math.sqrt(lo * hi)
+    # Off by over 0.5%: a bracket end left the gain's range (nan), or the bandwidth
+    # ran off within the last 0.1% of gain, where |H/(1+H)| levels off near -3 dB.
+    if not abs(bw_for(mult) - target_hz) <= 5e-3 * target_hz:
         raise ConvergenceError(
             f"cannot reach closed-loop bandwidth {target_hz:g} Hz by scaling "
             "the loop-filter gain"
         )
-    while hi / lo > 1.0 + 1e-3:
-        mid = math.sqrt(lo * hi)
-        if bw_for(mid) < target_hz:
-            lo = mid
-        else:
-            hi = mid
-    mult = math.sqrt(lo * hi)
     return replace(params, k_lf_v_per_v=params.k_lf_v_per_v * mult)
 
 

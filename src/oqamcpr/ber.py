@@ -233,28 +233,31 @@ def _kronrod_recurrence(n: int) -> np.ndarray:
     return b
 
 
-def _gauss_rule(b: np.ndarray):
+def _gauss_rule(b: np.ndarray, embedded: int | None = None):
     """Nodes and weights of the Gauss rule of an even weight with recurrence b.
 
     Golub & Welsch (Math. Comp. 23 (1969) 221-230): the nodes are the
     eigenvalues of the Jacobi matrix with zero diagonal and off-diagonal
     sqrt(b_1..), made exactly symmetric about 0; each weight is
     1 / sum_k p_k(x)^2 over the orthonormal polynomials, b_0 the weight's mass.
+    Third result: 1 / sum_{k<embedded} p_k(x)^2, at b[:embedded]'s nodes its weights (or None).
     """
     beta = np.sqrt(b)
     x = np.linalg.eigvalsh(np.diag(beta[1:], -1))
     x = (x - x[::-1]) / 2
     p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / beta[0])
-    norm = p * p
+    norm, partial = p * p, None
     for k in range(1, x.size):
+        if k == embedded:
+            partial = 1.0 / norm
         p_prev, p = p, (x * p - beta[k - 1] * p_prev) / beta[k]
         norm += p * p
-    return x, 1.0 / norm
+    return x, 1.0 / norm, partial
 
 
 def roots_legendre(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], as scipy.special.roots_legendre."""
-    return _gauss_rule(_legendre_recurrence(n))
+    return _gauss_rule(_legendre_recurrence(n))[:2]
 
 
 @functools.lru_cache(maxsize=None)
@@ -263,13 +266,12 @@ def _quad_nodes(order: int):
 
     Returns the 2 * order + 1 Kronrod nodes x, exactly symmetric about 0,
     their weights, and the Gauss-Legendre weights of the embedded nodes
-    x[1::2].
+    x[1::2], whose recurrence the Kronrod one starts with.
     """
-    x, w = _gauss_rule(_kronrod_recurrence(order))
-    w_gauss = roots_legendre(order)[1]
+    x, w, w_gauss = _gauss_rule(_kronrod_recurrence(order), order)
     for arr in (x, w, w_gauss):
         arr.flags.writeable = False
-    return x, w, w_gauss
+    return x, w, w_gauss[1::2]
 
 
 @dataclass(frozen=True, eq=False)

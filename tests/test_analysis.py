@@ -158,11 +158,13 @@ class TestBodeMetrics:
             open_loop_response(params, np.array([1.0, 1e305]))
 
     def test_degenerate_loop_reports_absent_metrics(self):
+        # H = 1e-12 / (1 + j f / 1 kHz) never reaches unity gain; its closed
+        # loop, K / (1 + K + j f / 1 kHz), still falls by 3 dB at 1 kHz.
         params = LoopParams(1e-6, 1e-3, 1.0, 1e-3, 1e9, 1e9, 1e3)
         metrics = bode_metrics(params)
         assert metrics.degenerate
-        assert metrics.crossover_hz is None
-        assert metrics.closed_loop_bw_hz is None
+        assert metrics.crossover_hz is None and metrics.phase_margin_deg is None
+        assert metrics.closed_loop_bw_hz == pytest.approx(1e3, rel=1e-5)
 
     def test_closed_loop_magnitude_limits(self):
         h_lo = open_loop_response(DEFAULT_LOOP, 1.0)
@@ -211,8 +213,40 @@ class TestBandwidthScaling:
     @pytest.mark.parametrize("target", [1e6, 1e7, 1e8])
     def test_reaches_target(self, target):
         params = scale_to_closed_loop_bandwidth(DEFAULT_LOOP, target)
-        got = bode_metrics(params, f_max_hz=1e5 * target).closed_loop_bw_hz
-        assert got == pytest.approx(target, rel=5e-3)
+        assert bode_metrics(params).closed_loop_bw_hz == pytest.approx(target, rel=5e-3)
+
+    @pytest.mark.parametrize("target, k_lf", [
+        (216e3, 2005.41245085293),
+        (1e6, 36227.60672058459),
+        (1e7, 767196.0244775423),
+        (1e8, 8259424.749553921),
+        (1e9, 83182520.57874507),
+    ])
+    def test_scaled_gains_pinned(self, target, k_lf):
+        assert scale_to_closed_loop_bandwidth(DEFAULT_LOOP, target).k_lf_v_per_v == k_lf
+
+    @pytest.mark.parametrize("target", [1.0, 100.0, 1e3])
+    def test_target_below_the_lowest_reachable_bandwidth_raises(self, target):
+        # As K_lf falls to 0 the reference loop's bandwidth falls to about
+        # 1.82 kHz, not to 0: no gain in range reaches a lower target.
+        with pytest.raises(ConvergenceError, match="bandwidth"):
+            scale_to_closed_loop_bandwidth(DEFAULT_LOOP, target)
+
+    def test_jump_in_the_bandwidth_raises(self):
+        # Above 20 Hz, H levels off at K0 / 2 up to its 1 THz pole, so
+        # |H/(1+H)| levels off near (1 + K0) / (2 + K0) of its value at 1 Hz.
+        # As that ratio nears 1/sqrt(2), at K0 near 1.40, the -3 dB point runs
+        # from 457 Hz to past the scan within 0.3% of the gain: the 0.1%
+        # bisection closes on a loop far below 100 kHz, which must not be returned.
+        params = LoopParams(1.0, 1.0, 1.0, 1.0, 20.0, 1e12, 10.0)
+        with pytest.raises(ConvergenceError, match="bandwidth"):
+            scale_to_closed_loop_bandwidth(params, 1e5)
+
+    def test_bandwidth_reached_without_a_crossover(self):
+        params = scale_to_closed_loop_bandwidth(DEFAULT_LOOP, 3e3)
+        metrics = bode_metrics(params)
+        assert params.dc_gain < 1 and metrics.crossover_hz is None
+        assert metrics.closed_loop_bw_hz == pytest.approx(3e3, rel=5e-3)
 
     def test_unreachable_target_raises(self):
         with pytest.raises(ConvergenceError, match="bandwidth"):
@@ -236,13 +270,18 @@ class TestBandwidthScaling:
     def test_each_gain_evaluated_once(self, monkeypatch, target):
         gains = []
 
-        def counting(params, **kwargs):
-            gains.append(params.k_lf_v_per_v)
-            return bode_metrics(params, **kwargs)
+        def counting(params, f_hz):
+            if np.size(f_hz) > 1:  # the scan, not a bisection step
+                gains.append(params.k_lf_v_per_v)
+            return open_loop_response(params, f_hz)
 
-        monkeypatch.setattr(analysis, "bode_metrics", counting)
+        def no_bode(params):
+            raise AssertionError("the scaling runs no Bode analysis")
+
+        monkeypatch.setattr(analysis, "open_loop_response", counting)
+        monkeypatch.setattr(analysis, "bode_metrics", no_bode)
         scale_to_closed_loop_bandwidth(DEFAULT_LOOP, target)
-        assert len(gains) == len(set(gains))
+        assert gains and len(gains) == len(set(gains))
 
 
 class TestReferenceComparison:

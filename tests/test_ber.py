@@ -247,10 +247,12 @@ class TestQuadNodes:
         assert np.all(np.diff(x) > 0) and np.all(w > 0)
         x_gauss, w_legendre = roots_legendre(order)
         assert np.all(np.abs(x[1::2] - x_gauss) <= 4 * np.spacing(1.0))
-        # The module builds its Gauss weights itself; they match scipy's.
+        # The module builds its Gauss weights itself, both on their own and
+        # from the Kronrod pass; they match scipy's.
         x_own, w_own = ber_module.roots_legendre(order)
         assert np.all(np.abs(x_own - x_gauss) <= 4 * np.spacing(1.0))
         np.testing.assert_allclose(w_own, w_legendre, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(w_gauss, w_legendre, rtol=1e-9, atol=0)
         # Chebyshev T_d integrates to 2 / (1 - d^2) for even d, 0 for odd d:
         # exactly to degree 3n + 1 by the Kronrod rule, 2n - 1 by the Gauss rule.
         for d in range(3 * order + 2):
@@ -286,22 +288,16 @@ class TestQuadNodes:
         )
         assert out.stdout.strip() == "0"
 
-    def test_nodes_built_once_per_order(self, monkeypatch):
-        built = []
-
-        def counting(order):
-            built.append(order)
-            return roots_legendre(order)
-
+    def test_nodes_built_once_per_order(self):
         ber_module._quad_nodes.cache_clear()
-        monkeypatch.setattr(ber_module, "roots_legendre", counting)
         c = build_constellation(16, 1.0, 0.1)
         snr_sweep(c, 0.05, np.arange(14.0, 20.0, 0.5))
         required_snr_db(c, 0.05)
-        assert built == [ber_module.QUAD_ORDER]
-        for arr in ber_module._quad_nodes(ber_module.QUAD_ORDER):
+        assert ber_module._quad_nodes.cache_info().misses == 1
+        for arr in ber_module._quad_nodes(ber_module.QUAD_ORDER):  # the order built
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+        assert ber_module._quad_nodes.cache_info().misses == 1
 
 
 # The two-axis kernels written directly: every tail of both axes, the

@@ -407,9 +407,9 @@ class TestCliCommands:
         calls = []
         original = analysis.bode_metrics
 
-        def counting(params, **kwargs):
+        def counting(params):
             calls.append(params)
-            return original(params, **kwargs)
+            return original(params)
 
         for module in (analysis, phasenoise):  # both names the benchmark's tracer wraps
             monkeypatch.setattr(module, "bode_metrics", counting)
@@ -427,12 +427,39 @@ class TestCliCommands:
 
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BER_CFG))
-        # The gain product stays below 1 at any k_lf in range: no crossover to scale.
+        # The gain product stays below 0.06 at any k_lf in range, which holds
+        # the closed-loop bandwidth under 2 kHz.
         cfg["loop"] = {"k_ps_rad_per_v": 1e-9, "closed_loop_bw_hz": 1e6}
         path = write_cfg(tmp_path, cfg)
         rc = main(["run", str(path), "-o", str(tmp_path / "out")])
         assert rc == 3
         assert "non-convergence" in capsys.readouterr().err
+
+    def test_bandwidth_below_the_reference_loops_reach_exit_3(self, tmp_path, capsys):
+        # At any k_lf the reference loop's bandwidth stays above about 1.82 kHz.
+        cfg = {"modulation": {"order": 4}, "loop": {"closed_loop_bw_hz": 1e3},
+               "run": {"mode": "psd"}}
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        assert rc == 3
+        assert "cannot reach closed-loop bandwidth 1000 Hz" in capsys.readouterr().err
+        assert not any(outdir.glob("*"))
+
+    # The phase-quadrature gate at n0 = 0 and at an in-range Es/N0, as
+    # docs/formats.md quotes them.
+    @pytest.mark.parametrize("modulation, grid, ending", [
+        ({"order": 16}, [10, 1e308], "7.62795e-07 vs 8.05064e-07 at Es/N0 1e+308 dB"),
+        ({"order": 4, "m_ratio": 2}, [30, 40], "0.000249914 vs 0.000254382 at Es/N0 40 dB"),
+    ])
+    def test_documented_quadrature_nonconvergence_exit_3(self, tmp_path, capsys, modulation,
+                                                         grid, ending):
+        cfg = {"modulation": modulation, "laser": {"linewidth_hz": 1e6},
+               "mismatch": {"delta_l_m": 0.1}, "run": {"mode": "ber-sweep", "snr_grid_db": grid}}
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        assert rc == 3
+        assert capsys.readouterr().err.rstrip().endswith(ending)
+        assert not any(outdir.glob("*"))
 
     def test_quadrature_nonconvergence_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(ber, "QUAD_ORDER", 2)

@@ -152,9 +152,9 @@ class TestShapedSpectrum:
     def test_spectrum_builds_the_band_once(self, monkeypatch):
         calls = []
 
-        def counting(params, **kwargs):
+        def counting(params):
             calls.append(params)
-            return bode_metrics(params, **kwargs)
+            return bode_metrics(params)
 
         monkeypatch.setattr(phasenoise, "bode_metrics", counting)
         shaped_spectrum(1e6, TAU_10CM, DEFAULT_LOOP)
