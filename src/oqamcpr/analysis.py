@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .domain import check
+from .domain import RANGES, check
 from .errors import ConvergenceError
 
 
@@ -155,25 +155,24 @@ def _bisect(func, lo: float, hi: float) -> float:
     return math.sqrt(lo * hi)
 
 
-FREQ_GRID_MIN_HZ = 1.0
-FREQ_GRID_MAX_HZ = 1e8
-POINTS_PER_DECADE = 200
-
-
-def log_frequency_grid(
-    f_min_hz: float = FREQ_GRID_MIN_HZ,
-    f_max_hz: float = FREQ_GRID_MAX_HZ,
-    points_per_decade: int = POINTS_PER_DECADE,
-) -> np.ndarray:
+def log_frequency_grid(f_min_hz: float = 1.0, f_max_hz: float = 1e8,
+                       points_per_decade: int = 200) -> np.ndarray:
+    """Log-spaced grid; the default is the bode CSV's band."""
     decades = math.log10(f_max_hz / f_min_hz)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     return np.logspace(math.log10(f_min_hz), math.log10(f_max_hz), n)
 
 
-def _closed_loop_bw(params: LoopParams, grid: np.ndarray, h: np.ndarray) -> float | None:
-    """Closed-loop -3 dB bandwidth: the first grid point where |H/(1+H)|, from
-    the open-loop response h on grid, falls 3 dB below its grid[0] value,
-    refined by bisection; None when that point lies past the grid."""
+# The one grid of every loop metric: the bode CSV's points, on to 1e5 x the top of
+# loop.closed_loop_bw_hz's range, two decades above the highest loop corner.
+_SCAN_HZ = log_frequency_grid(f_max_hz=1e5 * RANGES["loop.closed_loop_bw_hz"][1])
+_SCAN_HZ.flags.writeable = False
+
+
+def _closed_loop_bw(params: LoopParams, h: np.ndarray) -> float | None:
+    """Closed-loop -3 dB bandwidth: the first _SCAN_HZ point where |H/(1+H)|, from
+    the open-loop response h on it, falls 3 dB below its 1 Hz value, refined by
+    bisection; None when that point lies past the grid."""
     def closed_mag(h):
         return np.abs(h / (1.0 + h))
 
@@ -182,27 +181,25 @@ def _closed_loop_bw(params: LoopParams, grid: np.ndarray, h: np.ndarray) -> floa
     below = np.nonzero(tmag < target)[0]
     if below.size == 0:
         return None
-    # The bisection stays within a bracket of grid points, where H was checked finite.
     j = int(below[0])
-    return _bisect(lambda f: closed_mag(open_loop_response(params, f)) - target, grid[j - 1], grid[j])
+    return _bisect(lambda f: closed_mag(open_loop_response(params, f)) - target, *_SCAN_HZ[j - 1:j + 1])
 
 
 def bode_metrics(params: LoopParams) -> BodeMetrics:
     """Crossover, phase margin, and closed-loop -3 dB bandwidth (_closed_loop_bw).
 
-    The unity-gain crossover is located on a log grid and refined by
+    The unity-gain crossover is located on _SCAN_HZ and refined by
     bisection; the phase margin is 180 deg + arg H there, from the unwrapped
     factor phases, each within 90 deg, so the margin lies in (0, 270) deg.
-    A degenerate loop, with no unity-gain crossing, has neither.
+    A degenerate loop, with no unity-gain crossing below 1e14 Hz, has neither.
     """
-    grid = log_frequency_grid()
-    h = open_loop_response(params, grid)
-    closed_bw = _closed_loop_bw(params, grid, h)
+    h = open_loop_response(params, _SCAN_HZ)
+    closed_bw = _closed_loop_bw(params, h)
     crossings = np.nonzero(np.diff(np.signbit(np.abs(h) - 1.0)))[0]
     if crossings.size == 0:
         return BodeMetrics(params.dc_gain, None, None, closed_bw)
     k = int(crossings[0])
-    crossover = _bisect(lambda f: abs(open_loop_response(params, f)) - 1.0, grid[k], grid[k + 1])
+    crossover = _bisect(lambda f: abs(open_loop_response(params, f)) - 1.0, *_SCAN_HZ[k:k + 2])
     pm = 180.0 + float(open_loop_phase_deg(params, crossover))
     return BodeMetrics(params.dc_gain, crossover, pm, closed_bw)
 
@@ -226,29 +223,27 @@ def scale_to_closed_loop_bandwidth(params: LoopParams, target_hz: float) -> Loop
     """Scale the loop-filter gain until the closed-loop bandwidth hits target.
 
     Used by sweep presets that state a loop bandwidth instead of a gain set.  Bisects
-    the K_lf multiplier in log space to 0.1%, each gain's bandwidth on one grid to 1e5 x target.
+    the K_lf multiplier in log space to 0.1%, with each gain's bandwidth found on
+    _SCAN_HZ and the gain held within k_lf_v_per_v's range.
     """
-    if target_hz <= 0:
-        raise ValueError("target_hz must be > 0")
-    f_scan = max(FREQ_GRID_MAX_HZ, 1e5 * target_hz)
-    if f_scan == math.inf:
-        raise ValueError(f"loop.closed_loop_bw_hz = {target_hz:g} leaves no finite band to scan")
-    grid = log_frequency_grid(f_max_hz=f_scan)
+    check("loop.closed_loop_bw_hz", target_hz)
+    k_min, k_max, _ = RANGES["loop.k_lf_v_per_v"]
+    m_min, m_max = k_min / params.k_lf_v_per_v, k_max / params.k_lf_v_per_v
+
+    def scaled(mult: float) -> LoopParams:  # k * (k_max / k) may round past k_max
+        return replace(params, k_lf_v_per_v=min(max(params.k_lf_v_per_v * mult, k_min), k_max))
 
     @functools.cache  # the bracket check repeats the loops' last multipliers
     def bw_for(mult: float) -> float:
-        try:
-            p = replace(params, k_lf_v_per_v=params.k_lf_v_per_v * mult)
-            bw = _closed_loop_bw(p, grid, open_loop_response(p, grid))
-        except ValueError:  # a scaled gain outside its range, or a response past the float range
-            return math.nan  # no bandwidth to compare
+        p = scaled(mult)
+        bw = _closed_loop_bw(p, open_loop_response(p, _SCAN_HZ))
         return math.inf if bw is None else bw  # past the scan: above the target
 
-    lo = hi = 1.0  # each bracket search ends by the time the gain leaves its range (nan)
-    while bw_for(lo) >= target_hz:
-        lo /= 10.0
-    while bw_for(hi) <= target_hz:
-        hi *= 10.0
+    lo = hi = 1.0  # decade steps, the last one cut short at the gain's range end
+    while bw_for(lo) >= target_hz and lo > m_min:
+        lo = max(lo / 10.0, m_min)
+    while bw_for(hi) <= target_hz and hi < m_max:
+        hi = min(hi * 10.0, m_max)
     if bw_for(lo) < target_hz < bw_for(hi):
         while hi / lo > 1.0 + 1e-3:
             mid = math.sqrt(lo * hi)
@@ -257,14 +252,14 @@ def scale_to_closed_loop_bandwidth(params: LoopParams, target_hz: float) -> Loop
             else:
                 hi = mid
     mult = math.sqrt(lo * hi)
-    # Off by over 0.5%: a bracket end left the gain's range (nan), or the bandwidth
-    # ran off within the last 0.1% of gain, where |H/(1+H)| levels off near -3 dB.
-    if not abs(bw_for(mult) - target_hz) <= 5e-3 * target_hz:
+    # Off by over 0.5%: no gain in range reaches the target, or the bandwidth ran
+    # off within the last 0.1% of gain, where |H/(1+H)| levels off near -3 dB.
+    if abs(bw_for(mult) - target_hz) > 5e-3 * target_hz:
         raise ConvergenceError(
             f"cannot reach closed-loop bandwidth {target_hz:g} Hz by scaling "
             "the loop-filter gain"
         )
-    return replace(params, k_lf_v_per_v=params.k_lf_v_per_v * mult)
+    return scaled(mult)
 
 
 # Relative deviation from a supplied reference metric that earns a note.

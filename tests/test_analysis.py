@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -248,23 +249,31 @@ class TestBandwidthScaling:
         assert params.dc_gain < 1 and metrics.crossover_hz is None
         assert metrics.closed_loop_bw_hz == pytest.approx(3e3, rel=5e-3)
 
-    def test_unreachable_target_raises(self):
-        with pytest.raises(ConvergenceError, match="bandwidth"):
-            scale_to_closed_loop_bandwidth(DEFAULT_LOOP, 1e30)
-
-    def test_gains_past_float_range_do_not_reach_the_target(self):
-        # The scan band to 1e305 Hz overflows the response once K_lf is scaled
-        # by about 1e6; the given loop's own response stays finite there.
-        with pytest.raises(ConvergenceError, match="bandwidth 1e\\+300"):
-            scale_to_closed_loop_bandwidth(DEFAULT_LOOP, 1e300)
+    @pytest.mark.parametrize("target", [0.0, 1e30, 1.7e308])
+    def test_target_outside_its_range_names_its_key(self, target):
+        message = f"loop.closed_loop_bw_hz = {target:g} is outside its range [1, 1e+09]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scale_to_closed_loop_bandwidth(DEFAULT_LOOP, target)
 
     def test_given_loop_past_float_range_names_its_key(self):
         with pytest.raises(ValueError, match=r"loop\.f_lf_zero_hz = 1e-300 is outside its range"):
             scale_to_closed_loop_bandwidth(replace(DEFAULT_LOOP, f_lf_zero_hz=1e-300), 1e6)
 
-    def test_target_without_a_finite_scan_band_names_its_key(self):
-        with pytest.raises(ValueError, match=r"loop\.closed_loop_bw_hz"):
-            scale_to_closed_loop_bandwidth(DEFAULT_LOOP, 1.7e308)
+    @pytest.mark.parametrize("target", [3e8, 5e8, 1e9])
+    def test_target_reached_in_the_last_partial_decade_of_gain(self, target):
+        # Decade steps from K_lf 1.2e3 pass the top of k_lf_v_per_v's range,
+        # 1e9, after 1.2e8; these targets need gains between the two.
+        params = scale_to_closed_loop_bandwidth(replace(DEFAULT_LOOP, k_pd_v_per_rad=2.55e-3),
+                                                target)
+        assert 1.2e8 < params.k_lf_v_per_v <= RANGES["loop.k_lf_v_per_v"][1]
+        assert bode_metrics(params).closed_loop_bw_hz == pytest.approx(target, rel=5e-3)
+
+    @pytest.mark.parametrize("target", [2e8, 5e8, 1e9])
+    def test_loops_scaled_past_1e8_hz_have_their_metrics(self, target):
+        # The metrics are found on the scan grid that reached the target, to 1e14 Hz.
+        metrics = bode_metrics(scale_to_closed_loop_bandwidth(DEFAULT_LOOP, target))
+        assert metrics.crossover_hz is not None and 0.0 < metrics.phase_margin_deg < 270.0
+        assert metrics.closed_loop_bw_hz == pytest.approx(target, rel=5e-3)
 
     @pytest.mark.parametrize("target", [216e3, 1e6, 1e7, 1e8])
     def test_each_gain_evaluated_once(self, monkeypatch, target):

@@ -445,6 +445,32 @@ class TestCliCommands:
         assert "cannot reach closed-loop bandwidth 1000 Hz" in capsys.readouterr().err
         assert not any(outdir.glob("*"))
 
+    def test_bandwidth_reached_at_the_top_of_the_gain_range(self, tmp_path):
+        # A tenth of the reference detector gain needs K_lf 8.3e8 for 1 GHz,
+        # beyond the last in-range decade step from 1.2e3.
+        cfg = {"modulation": {"order": 4}, **NOISY,
+               "loop": {"k_pd_v_per_rad": 2.55e-3, "closed_loop_bw_hz": 1e9},
+               "run": {"mode": "psd"}}
+        outdir = tmp_path / "out"
+        assert main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)]) == 0
+        assert (outdir / "psd.csv").exists()
+
+    def test_loop_step_checked_against_a_crossover_past_1e8_hz(self, tmp_path, capsys):
+        # The 1 GHz loop crosses over near 1e9 Hz; the default 10 ns loop step allows 2 MHz.
+        cfg = short_run("lock", {"loop": {"closed_loop_bw_hz": 1e9}, "run": {"duration_s": 2e-6}})
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        assert rc == 2
+        assert "too coarse for crossover" in capsys.readouterr().err
+        assert not any(outdir.glob("*"))
+
+    def test_loop_bandwidth_past_1e8_hz_written(self, tmp_path):
+        cfg = short_run("ber-sweep", {**NOISY, "loop": {"closed_loop_bw_hz": 1e9}})
+        outdir = tmp_path / "out"
+        assert main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)]) == 0
+        _, cols = read_csv(outdir / "ber_sweep.csv")
+        assert np.allclose(cols["loop_bw_hz"], 1e9, rtol=5e-3, atol=0.0)
+
     # The phase-quadrature gate at n0 = 0 and at an in-range Es/N0, as
     # docs/formats.md quotes them.
     @pytest.mark.parametrize("modulation, grid, ending", [

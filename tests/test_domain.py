@@ -41,12 +41,14 @@ KEYS = sorted(RANGES)
 
 # Messages of the documented exits: the loop step against the crossover, and
 # a mismatch delay finer than the sample grid (exit 2); a loop bandwidth that
-# the loop-filter gain cannot reach, and a phase quadrature that cannot
-# resolve an error rate that steps with the phase, as a large offset or a
-# high Es/N0 makes it (exit 3).
+# the loop-filter gain cannot reach, a phase quadrature that cannot resolve an
+# error rate that steps with the phase, as a large offset or a high Es/N0
+# makes it, and a variance grid that cannot resolve a loop crossing over near
+# 1e12 Hz, as k_driver_v_per_v or k_ps_rad_per_v at 1e9 makes it (exit 3).
 PHYSICAL = {
     2: ("too coarse for crossover", "too coarse for the mismatch delay"),
-    3: ("cannot reach closed-loop bandwidth", "phase quadrature did not converge"),
+    3: ("cannot reach closed-loop bandwidth", "phase quadrature did not converge",
+        "phase-noise variance integral did not converge"),
 }
 
 # The rows leave out loop.closed_loop_bw_hz: given, it replaces k_lf by the

@@ -6,7 +6,12 @@ import pytest
 from scipy.signal import bilinear, lfilter
 
 from oqamcpr import phasenoise
-from oqamcpr.analysis import DEFAULT_LOOP, bode_metrics, log_frequency_grid
+from oqamcpr.analysis import (
+    DEFAULT_LOOP,
+    bode_metrics,
+    log_frequency_grid,
+    scale_to_closed_loop_bandwidth,
+)
 from oqamcpr.channel import PathMismatch
 from oqamcpr.errors import ConvergenceError
 from oqamcpr.phasenoise import (
@@ -29,6 +34,28 @@ def closed_loop_error_filter(params, dt):
     num = np.array([1 / (wp1 * wp2), 1 / wp1 + 1 / wp2, 1.0])
     den = np.array([1 / (wp1 * wp2), 1 / wp1 + 1 / wp2 + k / wz, 1.0 + k])
     return bilinear(num, den, fs=1 / dt)
+
+
+def closed_form_variance(linewidth_hz, tau_s, params):
+    """sigma^2 = (2 linewidth / pi) int_0^inf (1 - cos a f) R(f) / f^2 df, a = 2 pi tau, exactly.
+
+    R = |D / (D + N)|^2 with D = (1 + jf/f_p)(1 + jf/f_s) and N = K0 (1 + jf/f_z).
+    With s = jf the closed-loop quadratic D + N has roots -c_k (Re c_k > 0), so
+    |D + N|^2 = (f_p f_s)^-2 (x + c_1^2)(x + c_2^2) in x = f^2, and R / x splits into
+    A / x + sum_k B_k / (x + c_k^2) with A = 1 / (1 + K0)^2.  Then
+    int (1 - cos a f) / f^2 df = pi a / 2 and int (1 - cos a f) / (f^2 + c^2) df
+    = (pi / 2c)(1 - exp(-a c)).
+    """
+    k0, f_p, f_s = params.dc_gain, params.f_lf_pole_hz, params.f_ps_hz
+    lead = 1.0 / (f_p * f_s)
+    c = -np.roots([lead, 1.0 / f_p + 1.0 / f_s + k0 / params.f_lf_zero_hz, 1.0 + k0])
+    a = 2.0 * math.pi * tau_s
+    total = a / (1.0 + k0) ** 2
+    for k in range(2):
+        x = -c[k] ** 2
+        b = (1.0 + x / f_p**2) * (1.0 + x / f_s**2) / (x * lead**2 * (x + c[1 - k] ** 2))
+        total += b * (1.0 - np.exp(-a * c[k])) / c[k]
+    return linewidth_hz * float(total.real)
 
 
 def time_domain_variance(linewidth_hz, tau_s, params, n_total=6_000_000, seed=123):
@@ -121,6 +148,15 @@ class TestTotalVariance:
         freq_domain = total_variance(1e6, TAU_10CM, DEFAULT_LOOP)
         time_domain = time_domain_variance(1e6, TAU_10CM, DEFAULT_LOOP)
         assert freq_domain == pytest.approx(time_domain, rel=0.10)
+
+    @pytest.mark.parametrize("params", [
+        *(pytest.param(scale_to_closed_loop_bandwidth(DEFAULT_LOOP, bw), id=f"scaled-to-{bw:g}-Hz")
+          for bw in (2e8, 5e8, 1e9)),
+        pytest.param(replace(DEFAULT_LOOP, k_lf_v_per_v=1e9), id="k_lf-1e9"),
+    ])
+    def test_loops_crossing_over_past_1e8_hz_match_the_closed_form(self, params):
+        exact = closed_form_variance(1e6, TAU_10CM, params)
+        assert total_variance(1e6, TAU_10CM, params) == pytest.approx(exact, rel=2e-4)
 
     def test_nonconvergence_reported_with_both_estimates(self, monkeypatch):
         monkeypatch.setattr(phasenoise, "GRID_POINTS_PER_DECADE", 2)
