@@ -401,31 +401,44 @@ def monte_carlo_ber(c: OffsetQamConstellation, env: NoiseEnvironment, num_symbol
 
 @dataclass(eq=False)
 class SweepResult:
-    """BER-vs-SNR curve with metadata and the FEC threshold crossing."""
+    """BER-vs-SNR curve with metadata and the FEC threshold crossing, or why there is none."""
 
     snr_db: np.ndarray
     ber: np.ndarray
     ser: np.ndarray
     metadata: dict = field(default_factory=dict)
     fec_threshold_snr_db: float | None = None
+    fec_threshold_note: str | None = None
 
 
-def _interp_threshold(snr_db, ber, target: float) -> float | None:
+def _kp4_verdict(snr_db: np.ndarray, ber: np.ndarray) -> tuple[float | None, str | None]:
+    """(KP4 crossing Es/N0 in dB, None), or (None, why the grid places no crossing).
+
+    The crossing is log-linear across the first step ber[i-1] > KP4 >= ber[i] > 0.
+    A step from above KP4 onto a BER of 0 (erfc underflows) has no log-linear value.
+    """
+    note = None
     for i in range(1, len(ber)):
-        if ber[i - 1] > target >= ber[i] and ber[i] > 0:
+        if ber[i - 1] > KP4_BER_THRESHOLD >= ber[i] and ber[i] > 0:
             la, lb = math.log10(ber[i - 1]), math.log10(ber[i])
-            frac = (math.log10(target) - la) / (lb - la)
-            return float(snr_db[i - 1] + frac * (snr_db[i] - snr_db[i - 1]))
-    return None
+            frac = (math.log10(KP4_BER_THRESHOLD) - la) / (lb - la)
+            return float(snr_db[i - 1] + frac * (snr_db[i] - snr_db[i - 1])), None
+        if note is None and ber[i - 1] > KP4_BER_THRESHOLD and ber[i] == 0:
+            note = (f"BER reaches 0 between Es/N0 {snr_db[i - 1]:g} and {snr_db[i]:g} dB; "
+                    "the grid needs a finer step to place the KP4 crossing")
+    if np.all(ber <= KP4_BER_THRESHOLD):  # then no step starts above KP4
+        note = ("BER is at or below the KP4 floor at every grid point from Es/N0 "
+                f"{snr_db[0]:g} dB; start the grid lower to place the crossing")
+    return None, note or "grid never crosses the KP4 error floor"
 
 
 def snr_sweep(c: OffsetQamConstellation, sigma_pn_rad: float, snr_grid_db) -> SweepResult:
     """Semi-analytic BER over an Es/N0 grid (dB), plus the KP4 crossing.
 
     The reported BER follows the ser / log2(order) convention.  The FEC
-    threshold SNR is log-linearly interpolated at 2.4e-4 and left absent
-    when the grid never crosses it.  Each point is one ``semi_analytic_ser``
-    call; a phase quadrature that fails names the first failing Es/N0.
+    threshold SNR is log-linearly interpolated at 2.4e-4; where the grid
+    places none it is absent and fec_threshold_note says why.  Each point is
+    one ``semi_analytic_ser`` call; a failing phase quadrature names its Es/N0.
     """
     snr_db = np.asarray(snr_grid_db, dtype=float)
     if snr_db.ndim != 1 or snr_db.size < 2 or np.any(np.diff(snr_db) <= 0):
@@ -437,13 +450,8 @@ def snr_sweep(c: OffsetQamConstellation, sigma_pn_rad: float, snr_grid_db) -> Sw
         except ConvergenceError as exc:
             raise ConvergenceError(f"{exc} at Es/N0 {snr:g} dB") from None
     ber = ser / math.log2(c.order)
-    return SweepResult(
-        snr_db=snr_db,
-        ber=ber,
-        ser=ser,
-        metadata={"order": c.order, "m_ratio": c.m_ratio, "sigma_pn_rad": sigma_pn_rad},
-        fec_threshold_snr_db=_interp_threshold(snr_db, ber, KP4_BER_THRESHOLD),
-    )
+    metadata = {"order": c.order, "m_ratio": c.m_ratio, "sigma_pn_rad": sigma_pn_rad}
+    return SweepResult(snr_db, ber, ser, metadata, *_kp4_verdict(snr_db, ber))
 
 
 # Es/N0 bracket (dB) searched for the KP4 crossing, and the bisection's

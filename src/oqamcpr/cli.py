@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, phasenoise
-from .ber import KP4_BER_THRESHOLD, snr_sweep
+from .ber import snr_sweep
 from .channel import received_trace
 from .config import ScenarioConfig, load_config, sweep_variants, validate_config
 from .cpr import simulate_lock
@@ -126,16 +126,7 @@ def _run_ber(sc: ScenarioConfig) -> Table:
     loop_bw = spectrum.bode.closed_loop_bw_hz
     sweep = snr_sweep(c, math.sqrt(spectrum.variance_rad2), sc.snr_grid_db())
     metrics = {**sweep.metadata, "fec_threshold_snr_db": sweep.fec_threshold_snr_db}
-    notes = []
-    if sweep.fec_threshold_snr_db is None:
-        # Log-linear interpolation has no value at a BER of 0.
-        drop = np.flatnonzero((sweep.ber[:-1] > KP4_BER_THRESHOLD) & (sweep.ber[1:] == 0))
-        if drop.size:
-            lo, hi = sweep.snr_db[drop[0]], sweep.snr_db[drop[0] + 1]
-            notes.append(f"fec_threshold: BER reaches 0 between Es/N0 {lo:g} and {hi:g} dB; "
-                         "the grid needs a finer step to place the KP4 crossing")
-        else:
-            notes.append("fec_threshold: grid never crosses the KP4 error floor")
+    notes = [f"fec_threshold: {sweep.fec_threshold_note}"] if sweep.fec_threshold_note else []
     constants = (c.order, c.m_ratio, scen.laser.linewidth_hz,
                  scen.mismatch.delta_l_m, loop_bw if loop_bw is not None else math.nan)
     header = ("snr_db", "ber", "ser", "order", "m_ratio", "linewidth_hz",

@@ -70,6 +70,20 @@ class TestDetectorPhysics:
         )
         assert p.i0_a == pytest.approx(4 * 0.05 * 2.0 * 0.9, rel=1e-12)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DetectorPhysics(0.0, 1.0), "detector physics fields must be > 0"),
+        (lambda: DetectorPhysics(1.0, -1.0), "detector physics fields must be > 0"),
+        (lambda: DetectorPhysics.from_fields(0.0, 1.0, 1.0, 1.0),
+         "field magnitudes and responsivity must be > 0"),
+        (lambda: DetectorPhysics.from_fields(1.0, 1.0, -1.0, 1.0),
+         "field magnitudes and responsivity must be > 0"),
+        (lambda: DetectorPhysics.from_fields(1.0, 1.0, 1.0, 0.0),
+         "detector physics fields must be > 0"),
+    ], ids=["i0", "kv", "from-fields-e_iq", "from-fields-r_pd", "from-fields-kv"])
+    def test_non_positive_field_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestOpenLoop:
     def test_dc_gain_reference_values(self):

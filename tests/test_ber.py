@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -669,6 +670,29 @@ class TestMonteCarlo:
             monte_carlo_ber(c, NoiseEnvironment(0.1), 100, seed=1)
 
 
+def reference_interp_threshold(snr_db, ber, target):
+    """The log-linear KP4 crossing as snr_sweep found it before it also gave the reason."""
+    for i in range(1, len(ber)):
+        if ber[i - 1] > target >= ber[i] and ber[i] > 0:
+            la, lb = math.log10(ber[i - 1]), math.log10(ber[i])
+            frac = (math.log10(target) - la) / (lb - la)
+            return float(snr_db[i - 1] + frac * (snr_db[i] - snr_db[i - 1]))
+    return None
+
+
+def reference_kp4_verdict(snr_db, ber):
+    """The crossing, then the command line's own scan for a step onto a BER of 0."""
+    threshold = reference_interp_threshold(snr_db, ber, KP4_BER_THRESHOLD)
+    if threshold is not None:
+        return threshold, None
+    drop = np.flatnonzero((ber[:-1] > KP4_BER_THRESHOLD) & (ber[1:] == 0))
+    if drop.size:
+        lo, hi = snr_db[drop[0]], snr_db[drop[0] + 1]
+        return None, (f"BER reaches 0 between Es/N0 {lo:g} and {hi:g} dB; "
+                      "the grid needs a finer step to place the KP4 crossing")
+    return None, "grid never crosses the KP4 error floor"
+
+
 class TestSweep:
     def test_monotone_and_threshold(self):
         c = build_constellation(16, 1.0, 0.1)
@@ -677,12 +701,48 @@ class TestSweep:
         assert sweep.fec_threshold_snr_db == pytest.approx(
             required_snr_db(c, 0.0), abs=0.02
         )
+        assert sweep.fec_threshold_note is None
         assert sweep.metadata["order"] == 16
 
     def test_threshold_absent_when_never_crossed(self):
         c = build_constellation(16, 1.0, 0.1)
         sweep = snr_sweep(c, 0.0, np.arange(2.0, 8.0, 1.0))
         assert sweep.fec_threshold_snr_db is None
+        assert sweep.fec_threshold_note == "grid never crosses the KP4 error floor"
+
+    def test_verdict_keeps_the_crossing_and_zero_step_rule(self):
+        # Random BER arrays, non-monotone ones among them, with zeros and values
+        # exactly at KP4: only a BER at or below KP4 everywhere gets a new note.
+        rng = np.random.default_rng(34)
+        pool = np.array([0.0, KP4_BER_THRESHOLD, 0.5])
+        kinds = Counter()
+        for _ in range(4000):
+            size = int(rng.integers(2, 8))
+            snr_db = rng.uniform(-5.0, 20.0) + np.cumsum(rng.uniform(0.1, 5.0, size))
+            ber = np.where(
+                rng.random(size) < 0.3,
+                rng.choice(pool, size),
+                KP4_BER_THRESHOLD * 10.0 ** rng.uniform(-4.0, 3.0, size),
+            )
+            if rng.random() < 0.3:
+                ber = np.sort(ber)[::-1]
+            got = ber_module._kp4_verdict(snr_db, ber)
+            want = reference_kp4_verdict(snr_db, ber)
+            if np.all(ber <= KP4_BER_THRESHOLD):
+                assert want == (None, "grid never crosses the KP4 error floor")
+                assert got == (None, (
+                    "BER is at or below the KP4 floor at every grid point from Es/N0 "
+                    f"{snr_db[0]:g} dB; start the grid lower to place the crossing"
+                ))
+                kinds["all below"] += 1
+            else:
+                assert got == want, (snr_db, ber)
+                zero_step = want[0] is None and want[1].startswith("BER reaches 0")
+                kinds["crossing" if want[0] is not None else "step onto 0" if zero_step
+                      else "never crosses"] += 1
+        # Every verdict is drawn often.
+        assert set(kinds) == {"crossing", "step onto 0", "never crosses", "all below"}
+        assert min(kinds.values()) > 100
 
     def test_grid_validation(self):
         c = build_constellation(4, 1.0, 0.1)
@@ -773,3 +833,10 @@ class TestSweep:
 
         expected = brentq(f, 10.0, 25.0, xtol=1e-6)
         assert required_snr_db(c, 0.0) == pytest.approx(expected, abs=0.01)
+
+    def test_required_snr_outside_the_bracket_raises(self):
+        # 0.1242 rad is the residual phase of 16-QAM at 1 MHz over 0.5 m:
+        # its BER floor lies above KP4 even at 40 dB.
+        c = build_constellation(16, 1.0, 0.1)
+        with pytest.raises(ValueError, match=r"not bracketed by Es/N0 \[0, 40\] dB"):
+            required_snr_db(c, 0.1242)

@@ -145,6 +145,14 @@ class TestBeatPhase:
     def test_exact_divisor_dt_allowed(self):
         assert delay_in_samples(1e-10, 0.5e-10) == 2
 
+    def test_no_mismatch_is_no_delay(self):
+        assert delay_in_samples(0.0, 1e-12) == 0
+
+    def test_delay_past_float_range_in_samples_rejected(self):
+        # 1e-9 / 5e-324 overflows to inf.
+        with pytest.raises(ValueError, match="is not a finite number of dt_s=4.94066e-324 samples"):
+            delay_in_samples(1e-9, 5e-324)
+
 
 class TestRotation:
     def test_identity_rotation_applies_offset(self):
@@ -309,6 +317,13 @@ class TestReceivedTrace:
     def test_rejects_n0_not_finite_and_non_negative(self, n0):
         with pytest.raises(ValueError, match="n0"):
             ChannelScenario(baud_rate_hz=1e9, n0=n0)
+
+    @pytest.mark.parametrize("num_symbols", [0, -1])
+    def test_rejects_num_symbols_below_one(self, num_symbols):
+        c = build_constellation(4, 1.0, 0.1)
+        sc = ChannelScenario(baud_rate_hz=100e9)
+        with pytest.raises(ValueError, match="num_symbols must be >= 1"):
+            received_trace(c, sc, num_symbols=num_symbols, seed=3)
 
     @pytest.mark.parametrize("sps", [0, -2])
     def test_rejects_samples_per_symbol_below_one(self, sps):

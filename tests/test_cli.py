@@ -294,6 +294,17 @@ BAD_PLOT_SPECS = [
 ]
 
 
+# Each case: a config the schema rejects, and the texts its message must hold.
+BAD_CONFIGS = [
+    pytest.param([1, 2], ["config root must be a JSON object"], id="root-list"),
+    pytest.param({"foo": {}}, ["'foo'", "unknown section"], id="unknown-section"),
+    pytest.param({"laser": 3, "run": {"mode": "trace"}}, ["'laser'", "section must be an object"],
+                 id="section-not-object"),
+    pytest.param({"modulation": {"order": 4, "a0": 20, "a_oma": 1}, "run": {"mode": "trace"}},
+                 ["'a0'", "m_ratio = a0 / a_oma = 20 "], id="a0-out-of-range"),
+]
+
+
 def write_cfg(tmp_path, cfg, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=1))
@@ -373,6 +384,40 @@ class TestCliCommands:
         assert rc == 2
         assert key in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize("cfg, texts", BAD_CONFIGS)
+    def test_rejected_config_exit_2(self, tmp_path, monkeypatch, capsys, cfg, texts):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("OQAMCPR_OUTPUT_DIR", raising=False)
+        rc = main(["run", str(write_cfg(tmp_path, cfg))])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert all(text in err for text in texts) and "Traceback" not in err, err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    def test_output_dir_that_is_a_file_exit_1(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, BER_CFG)
+        blocker = tmp_path / "out"
+        blocker.write_text("kept\n")
+        rc = main(["run", str(path), "-o", str(blocker)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: I/O failure:") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
+        assert blocker.read_text() == "kept\n"
+
+    def test_reference_metric_absent_from_the_loop_is_noted(self, tmp_path, capsys):
+        # At this phase shifter gain the loop never reaches unity gain.
+        cfg = {
+            "modulation": {"order": 4},
+            "loop": {"k_ps_rad_per_v": 1e-9},
+            "run": {"mode": "bode", "reference_metrics": {"crossover_hz": 1e5}},
+        }
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert err == ("note: reference_deviation: crossover_hz: computed value absent, "
+                       "reference 100000\n")
 
     @pytest.mark.parametrize("mode, changes, outside", CLEAN_EXTREMES)
     @pytest.mark.filterwarnings("ignore:sigma_pn=.*comfort zone:UserWarning")
@@ -628,6 +673,10 @@ class TestCliCommands:
             validate_config(preset_config(name))
         assert list_presets().count("\n") >= 6
 
+    def test_unknown_preset_name_raises_key_error(self):
+        with pytest.raises(KeyError, match="nope"):
+            preset_config("nope")
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OQAMCPR_OUTPUT_DIR", str(tmp_path / "envout"))
         result = run_scenario(BER_CFG)
@@ -791,6 +840,21 @@ class TestRunOutputs:
             f"fec_threshold: BER reaches 0 between {span}; "
             "the grid needs a finer step to place the KP4 crossing"
         ]
+
+    @pytest.mark.parametrize("changes, below, note", [
+        ({"laser": {"linewidth_hz": 1e7}, "mismatch": {"delta_l_m": 0.1}}, False,
+         "grid never crosses the KP4 error floor"),
+        ({}, True, "BER is at or below the KP4 floor at every grid point from Es/N0 25 dB; "
+                   "start the grid lower to place the crossing"),
+    ], ids=["floor-above", "all-below"])
+    def test_grid_on_one_side_of_the_floor_is_noted(self, tmp_path, changes, below, note):
+        cfg = {"modulation": {"order": 16}, **changes,
+               "run": {"mode": "ber-sweep", "snr_grid_db": [25, 30, 40]}}
+        result = run_scenario(cfg, output_dir=str(tmp_path))
+        _, cols = read_csv(result.files[0])
+        assert [b <= ber.KP4_BER_THRESHOLD for b in cols["ber"]] == [below] * 3
+        assert result.metrics["fec_threshold_snr_db"] is None
+        assert result.notes == [f"fec_threshold: {note}"]
 
     def test_manifest_reproducibility(self, tmp_path):
         first = run_scenario(BER_CFG, output_dir=str(tmp_path / "a"))
@@ -977,6 +1041,56 @@ class TestSvg:
         assert rc == 2
         assert key in err and "Traceback" not in err
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("csv_text, spec_text, message", [
+        ("snr_db,ber\n1.0,0.1\n", None, "cannot load plot spec"),
+        ("snr_db,ber\n1.0,0.1\n", "{not json", "cannot load plot spec"),
+        ("# comments\n# only\n", '{"x": "snr_db", "y": "ber"}', "no data"),
+    ], ids=["spec-missing", "spec-not-json", "csv-comments-only"])
+    def test_plot_command_unreadable_input_exit_2(self, tmp_path, capsys, csv_text, spec_text,
+                                                  message):
+        csv = tmp_path / "mini.csv"
+        csv.write_text(csv_text)
+        spec_path = tmp_path / "spec.json"
+        if spec_text is not None:
+            spec_path.write_text(spec_text)
+        rc = main(["plot", str(csv), str(spec_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            p.name for p in (csv, spec_path) if p.exists()
+        )
+
+    @pytest.mark.parametrize("spec, error, message", [
+        ({"x": "snr_db"}, ConfigError, "plot spec needs 'x' and 'y'"),
+        ({"y": "ber"}, ConfigError, "plot spec needs 'x' and 'y'"),
+        ({"x": "snr_db", "y": ["ber", "ser"]}, ValueError, "missing column 'ser'"),
+    ], ids=["no-y", "no-x", "missing-column"])
+    def test_plot_of_absent_columns_rejected(self, tmp_path, spec, error, message):
+        csv = tmp_path / "mini.csv"
+        csv.write_text("snr_db,ber\n1.0,0.1\n2.0,0.01\n")
+        out = tmp_path / "x.svg"
+        with pytest.raises(ValueError, match=message) as excinfo:
+            plot_csvs([csv], spec, out)
+        assert excinfo.type is error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", [0.0, -1e-3])
+    def test_threshold_off_a_log_axis_is_dropped(self, tmp_path, threshold):
+        series = [("run", {"snr_db": [1.0, 2.0], "ber": [0.1, 0.01]})]
+        spec = {"x": "snr_db", "y": "ber", "logy": True}
+        plain = svgplot.emit_svg(series, spec, tmp_path / "plain.svg")
+        dropped = svgplot.emit_svg(series, {**spec, "threshold": threshold}, tmp_path / "t.svg")
+        assert dropped.read_bytes() == plain.read_bytes()
+
+    def test_one_series_labels_each_y_column(self, tmp_path):
+        series = [("run", {"snr_db": [1.0, 2.0], "ber": [0.1, 0.01], "ser": [0.3, 0.04]})]
+        spec = {"x": "snr_db", "y": ["ber", "ser"], "ylabel": "error rate"}
+        svg = svgplot.emit_svg(series, spec, tmp_path / "two.svg")
+        texts = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count("ber") == texts.count("ser") == 1  # the curve labels
+        assert "run" not in texts
 
     def test_run_svg_equals_plot_of_written_csvs(self, tmp_path):
         spec = {"x": "snr_db", "y": "ber", "logy": True, "kp4_line": True,

@@ -500,6 +500,15 @@ class TestSimulateLock:
                 samples_per_symbol=sps,
             )
 
+    @pytest.mark.parametrize("decimation", [0, -2])
+    def test_rejects_decimation_below_one(self, decimation):
+        c = build_constellation(4, 1.0, 0.1)
+        with pytest.raises(ValueError, match="decimation must be >= 1"):
+            simulate_lock(
+                self.scenario(), c, DEFAULT_LOOP, DetectorMethod.METHOD1, 1e-4, 1,
+                decimation=decimation,
+            )
+
     def test_awgn_on_samples_longer_than_the_averaging_memory(self):
         # A 1 MBaud sample lasts 5e-7 s, over which the 1 GHz averaging low-pass
         # forgets its state: the block mean and the outgoing state are no longer
