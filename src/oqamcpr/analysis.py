@@ -128,14 +128,9 @@ def open_loop_response(params: LoopParams, f_hz):
 
 
 def open_loop_phase_deg(params: LoopParams, f_hz):
-    """Unwrapped open-loop phase from the factor decomposition (degrees)."""
-    f = np.asarray(f_hz, dtype=float)
-    phase = (
-        np.arctan(f / params.f_lf_zero_hz)
-        - np.arctan(f / params.f_lf_pole_hz)
-        - np.arctan(f / params.f_ps_hz)
-    )
-    return np.degrees(phase)
+    """arg H (degrees): every gain is positive and each factor's phase lies
+    within 90 deg, so arg H lies in (-180, 90) deg and never wraps."""
+    return np.degrees(np.angle(open_loop_response(params, f_hz)))
 
 
 # Relative bracket width at which a frequency bisection stops.
@@ -189,14 +184,19 @@ def bode_metrics(params: LoopParams) -> BodeMetrics:
     """Crossover, phase margin, and closed-loop -3 dB bandwidth (_closed_loop_bw).
 
     The unity-gain crossover is located on _SCAN_HZ and refined by
-    bisection; the phase margin is 180 deg + arg H there, from the unwrapped
-    factor phases, each within 90 deg, so the margin lies in (0, 270) deg.
-    A degenerate loop, with no unity-gain crossing below 1e14 Hz, has neither.
+    bisection; the phase margin is 180 deg + arg H there, so it lies in
+    (0, 270) deg.  A degenerate loop, which never reaches unity gain below
+    1e14 Hz, has neither; a loop still above unity gain there raises
+    ConvergenceError, as its crossover lies past the scan.
     """
     h = open_loop_response(params, _SCAN_HZ)
     closed_bw = _closed_loop_bw(params, h)
     crossings = np.nonzero(np.diff(np.signbit(np.abs(h) - 1.0)))[0]
     if crossings.size == 0:
+        if abs(h[-1]) > 1.0:
+            raise ConvergenceError(
+                f"unity-gain crossover lies above the scan: open-loop gain |H| = "
+                f"{abs(h[-1]):.3g} at its top frequency {_SCAN_HZ[-1]:.3g} Hz")
         return BodeMetrics(params.dc_gain, None, None, closed_bw)
     k = int(crossings[0])
     crossover = _bisect(lambda f: abs(open_loop_response(params, f)) - 1.0, *_SCAN_HZ[k:k + 2])

@@ -85,16 +85,6 @@ def _q_from_i(c: OffsetQamConstellation, values):
     return values[kq * c.side + ki][..., ::-1]
 
 
-def _at_theta(values_fn, theta):
-    """values_fn(nodes) -> (..., nodes) at any theta, shaped (...) + theta's shape.
-
-    values_fn runs on nodes symmetric about 0: theta, then -theta reversed.
-    """
-    flat = np.asarray(theta, dtype=float).ravel()
-    values = values_fn(np.concatenate((flat, -flat[::-1])))[..., : flat.size]
-    return values.reshape(values.shape[:-1] + np.shape(theta))
-
-
 def _tail_prob(n0: float):
     """distance -> P(gaussian with variance n0/2 exceeds distance): a step at n0 = 0.
 
@@ -138,16 +128,22 @@ def _symbol_errors(c: OffsetQamConstellation, distances: np.ndarray, n0: float):
     return p_i, p_q, p_i + p_q - p_i * p_q
 
 
-def _errors_at(c: OffsetQamConstellation, theta, n0: float):
-    """_symbol_errors at 1-D theta symmetric about 0."""
-    return _symbol_errors(c, _threshold_distances(c, _rotated_i(c, theta)), n0)
+def _conditional_errors(c: OffsetQamConstellation, theta, n0: float):
+    """(p_i, p_q, p_symbol) of every symbol at any theta, each shaped (order,) + theta's shape.
+
+    The kernels run on nodes symmetric about 0: theta, then -theta reversed.
+    """
+    flat = np.asarray(theta, dtype=float).ravel()
+    means = _rotated_i(c, np.concatenate((flat, -flat[::-1])))
+    errors = _symbol_errors(c, _threshold_distances(c, means), n0)
+    return tuple(e[:, : flat.size].reshape((c.order,) + np.shape(theta)) for e in errors)
 
 
 def axis_error_probabilities(
     c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
 ):
     """Conditional per-axis error probabilities (p_i, p_q) at phase theta."""
-    p_i, p_q, _ = _at_theta(lambda th: np.stack(_errors_at(c, th, env.n0)), theta)
+    p_i, p_q, _ = _conditional_errors(c, theta, env.n0)
     return p_i[symbol_index], p_q[symbol_index]
 
 
@@ -155,7 +151,7 @@ def conditional_symbol_error(
     c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
 ):
     """P(symbol error | sent symbol, residual phase theta)."""
-    out = _at_theta(lambda th: _errors_at(c, th, env.n0)[2][symbol_index], theta)
+    out = _conditional_errors(c, theta, env.n0)[2][symbol_index]
     return out if np.ndim(out) else float(out)
 
 
@@ -181,16 +177,6 @@ def _symbol_bit_errors(c: OffsetQamConstellation, means: np.ndarray, n0: float):
     tails = _tail_prob(n0)(sign.T[:, :, None] * (c.thresholds[:, None, None] - means))
     flips_i = (gain.T[:, :, None] * tails).sum(axis=0)
     return flips_i + _q_from_i(c, flips_i)
-
-
-def conditional_bit_errors(
-    c: OffsetQamConstellation, symbol_index: int, theta, env: NoiseEnvironment
-):
-    """Expected Gray bit flips for one transmitted symbol at phase theta."""
-    total = _at_theta(
-        lambda th: _symbol_bit_errors(c, _rotated_i(c, th), env.n0)[symbol_index], theta
-    )
-    return total if np.ndim(total) else float(total)
 
 
 # Gauss-Legendre order of the phase integral, and the relative agreement it

@@ -208,12 +208,6 @@ def one_pole_lowpass(x, dt_s: float, cutoff_hz: float, zi=None):
     return np.array(y), np.array([z])
 
 
-def symbol_stream(constellation, num_symbols: int, seed: int) -> np.ndarray:
-    """Uniform random symbol indices, deterministic per seed."""
-    rng = stream_rng(seed, 0x5B)
-    return rng.integers(0, constellation.order, num_symbols)
-
-
 def received_trace(
     constellation: OffsetQamConstellation,
     scenario: ChannelScenario,
@@ -235,10 +229,10 @@ def received_trace(
         raise ValueError("samples_per_symbol must be >= 1")
     dt = 1.0 / (scenario.baud_rate_hz * samples_per_symbol)
 
-    idx = symbol_stream(constellation, num_symbols, seed)
-    rel = constellation.points[idx] - constellation.a0
-    i_sym = np.repeat(rel[:, 0], samples_per_symbol)
-    q_sym = np.repeat(rel[:, 1], samples_per_symbol)
+    idx = stream_rng(seed, 0x5B).integers(0, constellation.order, num_symbols)
+    ki, kq = np.divmod(idx, constellation.side)  # symbol idx = ki * side + kq
+    i_sym = np.repeat(constellation.levels[ki], samples_per_symbol)
+    q_sym = np.repeat(constellation.levels[kq], samples_per_symbol)
     beat = BeatNoise(scenario.laser, scenario.mismatch, dt, stream_rng(seed, 0xE7E))
     theta = beat.draw(i_sym.size)
     dphi = scenario.phi_offset_rad if theta is None else scenario.phi_offset_rad + theta

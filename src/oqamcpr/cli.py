@@ -49,7 +49,6 @@ class Table:
     comments: list[str]  # CSV comment lines
     metrics: dict
     notes: list[str]
-    plot: dict | None  # plot spec without a title; None draws no SVG
 
 
 @dataclass
@@ -89,14 +88,7 @@ def _run_bode(sc: ScenarioConfig) -> Table:
         "mag_db": 20.0 * np.log10(np.abs(h)),
         "phase_deg": analysis.open_loop_phase_deg(params, grid),
     }
-    plot = {
-        "x": "f_hz",
-        "y": "mag_db",
-        "logx": True,
-        "xlabel": "frequency (Hz)",
-        "ylabel": "open-loop magnitude (dB)",
-    }
-    return Table(columns, _metric_comments(metrics) + notes, metrics, notes, plot)
+    return Table(columns, _metric_comments(metrics) + notes, metrics, notes)
 
 
 def _run_psd(sc: ScenarioConfig) -> Table:
@@ -106,15 +98,7 @@ def _run_psd(sc: ScenarioConfig) -> Table:
     )
     metrics = {"variance_rad2": spectrum.variance_rad2}
     columns = {"f_hz": spectrum.freqs_hz, "psd_rad2_per_hz": spectrum.psd_rad2_per_hz}
-    plot = {
-        "x": "f_hz",
-        "y": "psd_rad2_per_hz",
-        "logx": True,
-        "logy": True,
-        "xlabel": "frequency (Hz)",
-        "ylabel": "PSD (rad^2/Hz)",
-    }
-    return Table(columns, _metric_comments(metrics), metrics, [], plot)
+    return Table(columns, _metric_comments(metrics), metrics, [])
 
 
 def _run_ber(sc: ScenarioConfig) -> Table:
@@ -133,15 +117,7 @@ def _run_ber(sc: ScenarioConfig) -> Table:
               "delta_l_m", "loop_bw_hz")
     n = len(sweep.snr_db)
     columns = dict(zip(header, (sweep.snr_db, sweep.ber, sweep.ser, *([v] * n for v in constants))))
-    plot = {
-        "x": "snr_db",
-        "y": "ber",
-        "logy": True,
-        "kp4_line": True,
-        "xlabel": "Es/N0 (dB)",
-        "ylabel": "BER",
-    }
-    return Table(columns, _metric_comments(metrics) + notes, metrics, notes, plot)
+    return Table(columns, _metric_comments(metrics) + notes, metrics, notes)
 
 
 def _given(run: dict, *keys: str) -> dict:
@@ -164,13 +140,7 @@ def _run_lock(sc: ScenarioConfig) -> Table:
     metrics = {name: getattr(report, name) for name in ("residual_rad", "lock_point_rad", "locked")}
     columns = {name: getattr(report, name)
                for name in ("time_s", "psi_rad", "delta_phi_rad", "error_v")}
-    plot = {
-        "x": "time_s",
-        "y": "delta_phi_rad",
-        "xlabel": "time (s)",
-        "ylabel": "phase error (rad)",
-    }
-    return Table(columns, _metric_comments(metrics), metrics, [], plot)
+    return Table(columns, _metric_comments(metrics), metrics, [])
 
 
 def _run_trace(sc: ScenarioConfig) -> Table:
@@ -182,7 +152,7 @@ def _run_trace(sc: ScenarioConfig) -> Table:
         seed=run["seed"],
         **_given(run, "samples_per_symbol"),
     )
-    return Table({"time_s": t, "i": i, "q": q}, [], {"samples": int(len(t))}, [], None)
+    return Table({"time_s": t, "i": i, "q": q}, [], {"samples": int(len(t))}, [])
 
 
 _MODE_RUNNERS = {
@@ -191,6 +161,18 @@ _MODE_RUNNERS = {
     "ber-sweep": _run_ber,
     "lock": _run_lock,
     "trace": _run_trace,
+}
+
+# Each mode's plot spec, without a title; trace draws no SVG.
+_PLOTS = {
+    "bode": {"x": "f_hz", "y": "mag_db", "logx": True,
+             "xlabel": "frequency (Hz)", "ylabel": "open-loop magnitude (dB)"},
+    "psd": {"x": "f_hz", "y": "psd_rad2_per_hz", "logx": True, "logy": True,
+            "xlabel": "frequency (Hz)", "ylabel": "PSD (rad^2/Hz)"},
+    "ber-sweep": {"x": "snr_db", "y": "ber", "logy": True, "kp4_line": True,
+                  "xlabel": "Es/N0 (dB)", "ylabel": "BER"},
+    "lock": {"x": "time_s", "y": "delta_phi_rad",
+             "xlabel": "time (s)", "ylabel": "phase error (rad)"},
 }
 
 
@@ -223,7 +205,7 @@ def run_scenario(source, output_dir: str | None = None) -> RunResult:
 
     # The SVG is drawn first: a plot that cannot be drawn fails the run
     # before any file is written.
-    plot = next(iter(tables.values())).plot  # the same for every variant
+    plot = _PLOTS.get(mode)
     svg = None
     if run.get("svg") and plot is not None:
         series = [(variant_label, t.columns) for variant_label, t in tables.items()]

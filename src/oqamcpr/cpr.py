@@ -114,7 +114,6 @@ class LockReport:
     residual_rad: float
     lock_point_rad: float
     locked: bool
-    method: DetectorMethod
 
 
 def _finish_report(t, psi, dphi, err, method) -> LockReport:
@@ -136,7 +135,6 @@ def _finish_report(t, psi, dphi, err, method) -> LockReport:
         residual_rad=residual,
         lock_point_rad=lock_point,
         locked=locked,
-        method=method,
     )
 
 
@@ -267,8 +265,9 @@ def simulate_lock(
     ``phase_drive`` is an optional callable t -> rad added to the input
     phase for loop-response probing.
 
-    Non-convergence shows up as ``locked=False`` in the report, never as
-    an exception.
+    A loop that does not lock shows up as ``locked=False`` in the report,
+    never as an exception; a loop whose crossover lies above the metric
+    scan raises ``bode_metrics``' ConvergenceError before the run.
     """
     if constellation.m_ratio < MIN_LOCK_M_RATIO:
         raise ValueError(f"offset-QAM phase detection requires a0 >= {MIN_LOCK_M_RATIO:g} a_oma")

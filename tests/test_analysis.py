@@ -1,6 +1,7 @@
+import itertools
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -114,6 +115,28 @@ class TestOpenLoop:
         )
 
 
+LOOP_KEYS = [f.name for f in fields(LoopParams)]
+
+
+def in_range_loops(count: int, seed: int):
+    """count log-uniform loops within every loop range, then all 2^7 range corners."""
+    rng = np.random.default_rng(seed)
+    bounds = [RANGES[f"loop.{key}"][:2] for key in LOOP_KEYS]
+    for _ in range(count):
+        yield LoopParams(*(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)) for lo, hi in bounds))
+    for corner in itertools.product(*bounds):
+        yield LoopParams(*corner)
+
+
+def arctan_phase_deg(params, f):
+    """The loop's factor phases summed, each an arctangent within 90 deg."""
+    return np.degrees(
+        np.arctan(f / params.f_lf_zero_hz)
+        - np.arctan(f / params.f_lf_pole_hz)
+        - np.arctan(f / params.f_ps_hz)
+    )
+
+
 class TestBodeMetrics:
     def test_reference_loop_against_oracle(self):
         metrics = bode_metrics(DEFAULT_LOOP)
@@ -181,6 +204,14 @@ class TestBodeMetrics:
         assert metrics.crossover_hz is None and metrics.phase_margin_deg is None
         assert metrics.closed_loop_bw_hz == pytest.approx(1e3, rel=1e-5)
 
+    def test_crossover_above_the_scan_raises(self):
+        # At k_pd = 1e9 the reference loop still has |H| = 5.65 at 1e14 Hz, the
+        # scan's top, so its crossover lies above the scan, not nowhere.
+        params = replace(DEFAULT_LOOP, k_pd_v_per_rad=1e9)
+        with pytest.raises(ConvergenceError, match=r"crossover lies above the scan: "
+                           r"open-loop gain \|H\| = 5\.65 at its top frequency 1e\+14 Hz"):
+            bode_metrics(params)
+
     def test_closed_loop_magnitude_limits(self):
         h_lo = open_loop_response(DEFAULT_LOOP, 1.0)
         assert abs(h_lo / (1 + h_lo)) == pytest.approx(1.0, abs=2e-3)
@@ -188,13 +219,14 @@ class TestBodeMetrics:
         assert abs(h_hi / (1 + h_hi)) == pytest.approx(abs(h_hi), rel=1e-2)
 
     def test_unwrapped_phase_decomposition(self):
-        f = 1e7
-        expected = math.degrees(
-            math.atan(f / DEFAULT_LOOP.f_lf_zero_hz)
-            - math.atan(f / DEFAULT_LOOP.f_lf_pole_hz)
-            - math.atan(f / DEFAULT_LOOP.f_ps_hz)
-        )
-        assert float(open_loop_phase_deg(DEFAULT_LOOP, f)) == pytest.approx(expected, rel=1e-12)
+        # arg H wraps nowhere in range: on the bode grid and on the metric scan
+        # it matches the arctangent sum, which lies in (-180, 90) deg.
+        grids = (analysis.log_frequency_grid(), analysis._SCAN_HZ)
+        for params in (DEFAULT_LOOP, *in_range_loops(300, seed=0)):
+            for f in grids:
+                phase = open_loop_phase_deg(params, f)
+                np.testing.assert_allclose(phase, arctan_phase_deg(params, f), rtol=0, atol=1e-12)
+                assert np.all((phase > -180.0) & (phase < 90.0))
 
 
 class TestStaticPhaseError:

@@ -17,7 +17,6 @@ from oqamcpr.ber import (
     NoiseEnvironment,
     axis_error_probabilities,
     ber_from_ser,
-    conditional_bit_errors,
     conditional_symbol_error,
     monte_carlo_ber,
     penalty,
@@ -28,6 +27,17 @@ from oqamcpr.ber import (
 )
 from oqamcpr.constellation import average_symbol_energy, build_constellation, n0_from_snr_db
 from oqamcpr.errors import ConvergenceError
+
+
+def symbol_bit_errors_at(c, theta, n0):
+    """ber._symbol_bit_errors of every symbol at theta's values, flattened: (order, theta.size).
+
+    The kernel reads the Q axis off the I axis at the mirrored node, so it
+    runs on theta followed by -theta reversed, and the first half is kept.
+    """
+    flat = np.asarray(theta, dtype=float).ravel()
+    nodes = np.concatenate((flat, -flat[::-1]))
+    return ber_module._symbol_bit_errors(c, ber_module._rotated_i(c, nodes), n0)[:, : flat.size]
 
 
 def find_symbol(c, i_level, q_level):
@@ -136,12 +146,12 @@ class TestConditionalErrorEngine:
                         conditional_symbol_error(c, s_mirror, -theta, env), rel=1e-12
                     )
 
-    def test_conditional_bit_errors_zero_noise_counts_flips(self):
+    def test_symbol_bit_errors_zero_noise_counts_flips(self):
         c = build_constellation(4, 1.0, 0.0)
-        env = NoiseEnvironment(n0=0.0)
+        flips = symbol_bit_errors_at(c, np.array([0.0, math.pi / 2]), 0.0)
         # no rotation: zero flips; quarter turn moves every corner one region
-        assert conditional_bit_errors(c, 0, 0.0, env) == 0.0
-        assert conditional_bit_errors(c, 0, math.pi / 2, env) >= 1.0
+        assert flips[0, 0] == 0.0
+        assert flips[0, 1] >= 1.0
 
 
 class TestNoiseEnvironment:
@@ -465,14 +475,11 @@ class TestTransposedKernels:
                     got_i, got_q = axis_error_probabilities(c, s, theta, env)
                     assert np.array_equal(got_i, p_i[s]) and np.array_equal(got_q, p_q[s])
                     assert np.shape(got_i) == np.shape(theta)
-                    assert np.array_equal(conditional_symbol_error(c, s, theta, env), p_e[s])
-                    got = conditional_bit_errors(c, s, theta, env)
-                    if np.ndim(theta) == 0:
-                        assert type(got) is float
-                        assert_bits_close(got, flips[s, 0])
-                    else:
-                        assert np.shape(got) == np.shape(theta)
-                        assert_bits_close(got, flips[s])
+                    got_e = conditional_symbol_error(c, s, theta, env)
+                    assert np.array_equal(got_e, p_e[s])
+                    assert type(got_e) is float or np.ndim(theta) > 0
+                got = symbol_bit_errors_at(c, theta, n0)
+                assert_bits_close(got, flips.reshape(got.shape))
 
 
 def rule_builds():

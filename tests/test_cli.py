@@ -509,6 +509,19 @@ class TestCliCommands:
         assert "too coarse for crossover" in capsys.readouterr().err
         assert not any(outdir.glob("*"))
 
+    @pytest.mark.parametrize("mode", ["bode", "psd", "ber-sweep", "lock"])
+    def test_crossover_above_the_scan_exit_3(self, tmp_path, capsys, mode):
+        # At k_pd 1e9 the reference loop's |H| is still 5.65 at 1e14 Hz, the top of
+        # the metric scan: its crossover lies above it, not nowhere.
+        cfg = short_run(mode, {**NOISY, "loop": {"k_pd_v_per_rad": 1e9}})
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: non-convergence: unity-gain crossover lies above the scan: "
+            "open-loop gain |H| = 5.65 at its top frequency 1e+14 Hz\n")
+        assert not any(outdir.glob("*"))
+
     def test_loop_bandwidth_past_1e8_hz_written(self, tmp_path):
         cfg = short_run("ber-sweep", {**NOISY, "loop": {"closed_loop_bw_hz": 1e9}})
         outdir = tmp_path / "out"
