@@ -9,11 +9,9 @@ beat phase-noise spectrum, and semi-analytic plus Monte Carlo error rates.
 
 from .analysis import (
     BodeMetrics,
-    DetectorPhysics,
     LoopParams,
     DEFAULT_LOOP,
     bode_metrics,
-    k_pd_from_physics,
     open_loop_response,
     scale_to_closed_loop_bandwidth,
     static_phase_error,
@@ -25,7 +23,6 @@ from .ber import (
     ber_from_ser,
     conditional_symbol_error,
     monte_carlo_ber,
-    penalty,
     required_snr_db,
     semi_analytic_ber,
     semi_analytic_ser,

@@ -7,9 +7,8 @@ The open-loop transfer function factors as
     H_ps(s) = K_ps / (1 + s/w_ps)
 
 with a lead-lag loop filter and a first-order (thermal) phase shifter.
-This module evaluates H, extracts Bode metrics, predicts the static phase
-error phi0 / (1 + H(0)), and converts detector physics into the detector
-gain K_pd.
+This module evaluates H, extracts Bode metrics, and predicts the static
+phase error phi0 / (1 + H(0)).
 """
 
 from __future__ import annotations
@@ -65,36 +64,6 @@ DEFAULT_LOOP = LoopParams(
 
 
 @dataclass(frozen=True)
-class DetectorPhysics:
-    """Physical quantities behind the phase detector gain."""
-
-    i0_a: float
-    kv_v_per_a: float
-
-    def __post_init__(self):
-        if self.i0_a <= 0 or self.kv_v_per_a <= 0:
-            raise ValueError("detector physics fields must be > 0")
-
-    @classmethod
-    def from_fields(
-        cls, e_iq_avg_mag: float, e_lo_mag: float, r_pd: float, kv_v_per_a: float
-    ) -> "DetectorPhysics":
-        """Build from field magnitudes: i0 = 4 |E_iq_avg| |E_lo| R_pd.
-
-        For DC-balanced data the average signal field magnitude equals the
-        constellation offset a0.
-        """
-        if min(e_iq_avg_mag, e_lo_mag, r_pd) <= 0:
-            raise ValueError("field magnitudes and responsivity must be > 0")
-        return cls(i0_a=4.0 * e_iq_avg_mag * e_lo_mag * r_pd, kv_v_per_a=kv_v_per_a)
-
-
-def k_pd_from_physics(p: DetectorPhysics) -> float:
-    """Detector gain in V/rad: (2 sqrt(2) / pi) * i0 * kv."""
-    return (2.0 * math.sqrt(2.0) / math.pi) * p.i0_a * p.kv_v_per_a
-
-
-@dataclass(frozen=True)
 class BodeMetrics:
     """Open/closed-loop stability metrics; bode_metrics says when each is None."""
 
@@ -102,10 +71,6 @@ class BodeMetrics:
     crossover_hz: float | None
     phase_margin_deg: float | None
     closed_loop_bw_hz: float | None
-
-    @property
-    def degenerate(self) -> bool:
-        return self.crossover_hz is None
 
 
 def open_loop_response(params: LoopParams, f_hz):
@@ -183,22 +148,23 @@ def _closed_loop_bw(params: LoopParams, h: np.ndarray) -> float | None:
 def bode_metrics(params: LoopParams) -> BodeMetrics:
     """Crossover, phase margin, and closed-loop -3 dB bandwidth (_closed_loop_bw).
 
-    The unity-gain crossover is located on _SCAN_HZ and refined by
-    bisection; the phase margin is 180 deg + arg H there, so it lies in
-    (0, 270) deg.  A degenerate loop, which never reaches unity gain below
-    1e14 Hz, has neither; a loop still above unity gain there raises
+    The unity-gain crossover is the last _SCAN_HZ crossing, where |H| falls
+    through 1 (a loop with K0 < 1 and a low zero first rises through it),
+    refined by bisection; the phase margin is 180 deg + arg H there, so it
+    lies in (0, 270) deg.  A degenerate loop, which never reaches unity gain
+    below 1e14 Hz, has neither; a loop still above unity gain there raises
     ConvergenceError, as its crossover lies past the scan.
     """
     h = open_loop_response(params, _SCAN_HZ)
+    if abs(h[-1]) > 1.0:
+        raise ConvergenceError(
+            f"unity-gain crossover lies above the scan: open-loop gain |H| = "
+            f"{abs(h[-1]):.3g} at its top frequency {_SCAN_HZ[-1]:.3g} Hz")
     closed_bw = _closed_loop_bw(params, h)
     crossings = np.nonzero(np.diff(np.signbit(np.abs(h) - 1.0)))[0]
     if crossings.size == 0:
-        if abs(h[-1]) > 1.0:
-            raise ConvergenceError(
-                f"unity-gain crossover lies above the scan: open-loop gain |H| = "
-                f"{abs(h[-1]):.3g} at its top frequency {_SCAN_HZ[-1]:.3g} Hz")
         return BodeMetrics(params.dc_gain, None, None, closed_bw)
-    k = int(crossings[0])
+    k = int(crossings[-1])
     crossover = _bisect(lambda f: abs(open_loop_response(params, f)) - 1.0, *_SCAN_HZ[k:k + 2])
     pm = 180.0 + float(open_loop_phase_deg(params, crossover))
     return BodeMetrics(params.dc_gain, crossover, pm, closed_bw)

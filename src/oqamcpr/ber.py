@@ -70,11 +70,6 @@ class NoiseEnvironment:
             object.__setattr__(self, name, float(value))
 
 
-def _rotated_i(c: OffsetQamConstellation, theta):
-    """px cos(theta) + py sin(theta) of every symbol at 1-D theta: shape (order, theta.size)."""
-    return c.points[:, :1] * np.cos(theta) + c.points[:, 1:] * np.sin(theta)
-
-
 def _q_from_i(c: OffsetQamConstellation, values):
     """Q-axis terms of (a, b) as the I-axis terms of (b, a) at -theta.
 
@@ -134,7 +129,9 @@ def _conditional_errors(c: OffsetQamConstellation, theta, n0: float):
     The kernels run on nodes symmetric about 0: theta, then -theta reversed.
     """
     flat = np.asarray(theta, dtype=float).ravel()
-    means = _rotated_i(c, np.concatenate((flat, -flat[::-1])))
+    ki, kq = c.level_indices.T
+    means = rotate_symbol(c.levels[ki, None], c.levels[kq, None], c.a0,
+                          np.concatenate((flat, -flat[::-1])))[0]
     errors = _symbol_errors(c, _threshold_distances(c, means), n0)
     return tuple(e[:, : flat.size].reshape((c.order,) + np.shape(theta)) for e in errors)
 
@@ -304,7 +301,8 @@ def _phase_rule(c: OffsetQamConstellation, sigma: float, quad_order: int) -> _Ph
         weights = np.zeros((2, x.size))
         weights[0] = w * half_width * pdf
         weights[1, 1::2] = w_legendre * half_width * pdf[1::2]
-    means = _rotated_i(c, theta)
+    ki, kq = c.level_indices.T
+    means = rotate_symbol(c.levels[ki, None], c.levels[kq, None], c.a0, theta)[0]
     rule = _PhaseRule(theta, weights, means, _threshold_distances(c, means))
     for arr in (rule.theta, rule.weights, rule.means, rule.distances):
         arr.flags.writeable = False
@@ -468,10 +466,3 @@ def required_snr_db(c: OffsetQamConstellation, sigma_pn_rad: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def penalty(sweep_a: SweepResult, sweep_b: SweepResult) -> float:
-    """FEC-threshold SNR difference a - b in dB."""
-    if sweep_a.fec_threshold_snr_db is None or sweep_b.fec_threshold_snr_db is None:
-        raise ValueError("both sweeps must contain the FEC threshold crossing")
-    return sweep_a.fec_threshold_snr_db - sweep_b.fec_threshold_snr_db

@@ -10,10 +10,8 @@ from oqamcpr import analysis
 from oqamcpr.analysis import (
     DEFAULT_LOOP,
     BodeMetrics,
-    DetectorPhysics,
     LoopParams,
     bode_metrics,
-    k_pd_from_physics,
     open_loop_phase_deg,
     open_loop_response,
     reference_discrepancies,
@@ -47,43 +45,6 @@ def oracle_crossover(params):
         else:
             hi = mid
     return math.sqrt(lo * hi)
-
-
-class TestDetectorPhysics:
-    def test_unit_gain_product(self):
-        p = DetectorPhysics(i0_a=1.0, kv_v_per_a=1.0)
-        assert k_pd_from_physics(p) == pytest.approx(2 * math.sqrt(2) / math.pi, rel=1e-12)
-
-    def test_inverting_the_reference_detector_gain(self):
-        # product i0*kv that yields 2.55e-2 V/rad
-        product = 2.55e-2 * math.pi / (2 * math.sqrt(2))
-        assert product == pytest.approx(2.832e-2, rel=1e-3)
-        p = DetectorPhysics(i0_a=product, kv_v_per_a=1.0)
-        assert k_pd_from_physics(p) == pytest.approx(2.55e-2, rel=1e-12)
-
-    def test_linearity_in_photocurrent(self):
-        base = k_pd_from_physics(DetectorPhysics(1e-3, 500.0))
-        assert k_pd_from_physics(DetectorPhysics(2e-3, 500.0)) == pytest.approx(2 * base)
-
-    def test_from_fields_photocurrent_identity(self):
-        p = DetectorPhysics.from_fields(
-            e_iq_avg_mag=0.05, e_lo_mag=2.0, r_pd=0.9, kv_v_per_a=300.0
-        )
-        assert p.i0_a == pytest.approx(4 * 0.05 * 2.0 * 0.9, rel=1e-12)
-
-    @pytest.mark.parametrize("build, message", [
-        (lambda: DetectorPhysics(0.0, 1.0), "detector physics fields must be > 0"),
-        (lambda: DetectorPhysics(1.0, -1.0), "detector physics fields must be > 0"),
-        (lambda: DetectorPhysics.from_fields(0.0, 1.0, 1.0, 1.0),
-         "field magnitudes and responsivity must be > 0"),
-        (lambda: DetectorPhysics.from_fields(1.0, 1.0, -1.0, 1.0),
-         "field magnitudes and responsivity must be > 0"),
-        (lambda: DetectorPhysics.from_fields(1.0, 1.0, 1.0, 0.0),
-         "detector physics fields must be > 0"),
-    ], ids=["i0", "kv", "from-fields-e_iq", "from-fields-r_pd", "from-fields-kv"])
-    def test_non_positive_field_rejected(self, build, message):
-        with pytest.raises(ValueError, match=message):
-            build()
 
 
 class TestOpenLoop:
@@ -200,17 +161,34 @@ class TestBodeMetrics:
         # loop, K / (1 + K + j f / 1 kHz), still falls by 3 dB at 1 kHz.
         params = LoopParams(1e-6, 1e-3, 1.0, 1e-3, 1e9, 1e9, 1e3)
         metrics = bode_metrics(params)
-        assert metrics.degenerate
         assert metrics.crossover_hz is None and metrics.phase_margin_deg is None
         assert metrics.closed_loop_bw_hz == pytest.approx(1e3, rel=1e-5)
 
-    def test_crossover_above_the_scan_raises(self):
-        # At k_pd = 1e9 the reference loop still has |H| = 5.65 at 1e14 Hz, the
-        # scan's top, so its crossover lies above the scan, not nowhere.
-        params = replace(DEFAULT_LOOP, k_pd_v_per_rad=1e9)
-        with pytest.raises(ConvergenceError, match=r"crossover lies above the scan: "
-                           r"open-loop gain \|H\| = 5\.65 at its top frequency 1e\+14 Hz"):
-            bode_metrics(params)
+    @pytest.mark.parametrize("changes, h_top", [
+        # At k_pd = 1e9 the reference loop never falls to unity gain below the scan's top.
+        ({"k_pd_v_per_rad": 1e9}, r"5\.65"),
+        # K0 = 0.49 and a 1 Hz zero: |H| rises through 1 near 2 Hz, and with both
+        # poles at 1e12 Hz it falls through 1 only near 4.9e23 Hz.
+        ({"k_pd_v_per_rad": 1.3e-5, "f_lf_zero_hz": 1.0, "f_lf_pole_hz": 1e12,
+          "f_ps_hz": 1e12}, r"4\.9e\+09"),
+    ], ids=["no-crossing", "rising-crossing"])
+    def test_crossover_above_the_scan_raises(self, changes, h_top):
+        # |H| > 1 at 1e14 Hz, the scan's top: the crossover lies above the scan, not nowhere.
+        with pytest.raises(ConvergenceError, match=r"crossover lies above the scan: open-loop "
+                           rf"gain \|H\| = {h_top} at its top frequency 1e\+14 Hz"):
+            bode_metrics(replace(DEFAULT_LOOP, **changes))
+
+    def test_crossover_is_where_the_gain_falls_through_unity(self):
+        # K0 = 0.49 with a 10 Hz zero: |H| rises through 1 near 17.8 Hz and falls
+        # through it near 5.9e5 Hz; the crossover is the falling one.
+        params = replace(DEFAULT_LOOP, k_pd_v_per_rad=1.3e-5, f_lf_zero_hz=10.0)
+        assert abs(open_loop_response(params, 1.0)) < 1.0 < abs(open_loop_response(params, 1e3))
+        metrics = bode_metrics(params)
+        assert metrics.crossover_hz == pytest.approx(587773.8, rel=1e-6)
+        assert abs(open_loop_response(params, metrics.crossover_hz)) == pytest.approx(
+            1.0, abs=analysis.BISECT_REL_TOL)
+        assert abs(open_loop_response(params, 2.0 * metrics.crossover_hz)) < 1.0
+        assert metrics.phase_margin_deg == pytest.approx(90.779, abs=1e-3)
 
     def test_closed_loop_magnitude_limits(self):
         h_lo = open_loop_response(DEFAULT_LOOP, 1.0)

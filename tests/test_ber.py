@@ -19,12 +19,12 @@ from oqamcpr.ber import (
     ber_from_ser,
     conditional_symbol_error,
     monte_carlo_ber,
-    penalty,
     required_snr_db,
     semi_analytic_ber,
     semi_analytic_ser,
     snr_sweep,
 )
+from oqamcpr.channel import rotate_symbol
 from oqamcpr.constellation import average_symbol_energy, build_constellation, n0_from_snr_db
 from oqamcpr.errors import ConvergenceError
 
@@ -37,7 +37,9 @@ def symbol_bit_errors_at(c, theta, n0):
     """
     flat = np.asarray(theta, dtype=float).ravel()
     nodes = np.concatenate((flat, -flat[::-1]))
-    return ber_module._symbol_bit_errors(c, ber_module._rotated_i(c, nodes), n0)[:, : flat.size]
+    ki, kq = c.level_indices.T
+    means = rotate_symbol(c.levels[ki, None], c.levels[kq, None], c.a0, nodes)[0]
+    return ber_module._symbol_bit_errors(c, means, n0)[:, : flat.size]
 
 
 def find_symbol(c, i_level, q_level):
@@ -812,20 +814,6 @@ class TestSweep:
         c = build_constellation(4, 1.0, 0.1)
         with pytest.warns(UserWarning, match="sigma_pn"):
             snr_sweep(c, 1.5, [10.0, 20.0])
-
-    def test_penalty_of_identical_sweeps_is_zero(self):
-        c = build_constellation(16, 1.0, 0.1)
-        grid = np.arange(14.0, 20.0, 0.5)
-        a = snr_sweep(c, 0.0, grid)
-        b = snr_sweep(c, 0.0, grid)
-        assert penalty(a, b) == 0.0
-
-    def test_penalty_requires_thresholds(self):
-        c = build_constellation(16, 1.0, 0.1)
-        a = snr_sweep(c, 0.0, np.arange(14.0, 20.0, 0.5))
-        b = snr_sweep(c, 0.0, np.arange(2.0, 6.0, 1.0))
-        with pytest.raises(ValueError, match="threshold"):
-            penalty(a, b)
 
     def test_required_snr_matches_textbook_inversion(self):
         c = build_constellation(16, 1.0, 0.0)

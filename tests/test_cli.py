@@ -509,6 +509,18 @@ class TestCliCommands:
         assert "too coarse for crossover" in capsys.readouterr().err
         assert not any(outdir.glob("*"))
 
+    def test_loop_step_checked_against_the_falling_crossover(self, tmp_path, capsys):
+        # K0 = 0.49 with a 10 Hz zero: |H| rises through 1 near 17.8 Hz and falls
+        # through it near 5.9e5 Hz, which the 10 us loop step cannot follow.
+        cfg = short_run("lock", {"loop": {"k_pd_v_per_rad": 1.3e-5, "f_lf_zero_hz": 10.0},
+                                 "channel": {"baud_rate_hz": 1e9},
+                                 "run": {"decimation": 10_000, "duration_s": 1e-2}})
+        outdir = tmp_path / "out"
+        rc = main(["run", str(write_cfg(tmp_path, cfg)), "-o", str(outdir)])
+        assert rc == 2
+        assert "s too coarse for crossover 587774 Hz" in capsys.readouterr().err
+        assert not any(outdir.glob("*"))
+
     @pytest.mark.parametrize("mode", ["bode", "psd", "ber-sweep", "lock"])
     def test_crossover_above_the_scan_exit_3(self, tmp_path, capsys, mode):
         # At k_pd 1e9 the reference loop's |H| is still 5.65 at 1e14 Hz, the top of
