@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +190,26 @@ class TestBodeMetrics:
             1.0, abs=analysis.BISECT_REL_TOL)
         assert abs(open_loop_response(params, 2.0 * metrics.crossover_hz)) < 1.0
         assert metrics.phase_margin_deg == pytest.approx(90.779, abs=1e-3)
+
+    @pytest.mark.parametrize("params", [
+        DEFAULT_LOOP,
+        replace(DEFAULT_LOOP, k_pd_v_per_rad=1.3e-5, f_lf_zero_hz=10.0),
+        scale_to_closed_loop_bandwidth(DEFAULT_LOOP, 1e7),
+        scale_to_closed_loop_bandwidth(DEFAULT_LOOP, 1e8),
+    ], ids=["reference", "rising-then-falling", "scaled-10MHz", "scaled-100MHz"])
+    def test_crossover_is_a_falling_crossing(self, params):
+        # Just below the crossover the loop still has gain, just above it none.
+        f_c = bode_metrics(params).crossover_hz
+        assert abs(open_loop_response(params, f_c / 1.001)) > 1.0
+        assert abs(open_loop_response(params, f_c * 1.001)) < 1.0
+
+    def test_reference_detector_gain_from_its_photocurrent(self):
+        # docs/formats.md: k_pd = (2 sqrt 2 / pi) i0 kv, and the reference loop's
+        # 2.55e-2 V/rad corresponds to i0 kv = 2.832e-2 V.
+        text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        assert "i0·kv = 2.832e-2 V" in text
+        assert 2 * math.sqrt(2) / math.pi * 2.832e-2 == pytest.approx(
+            DEFAULT_LOOP.k_pd_v_per_rad, rel=2e-4)
 
     def test_closed_loop_magnitude_limits(self):
         h_lo = open_loop_response(DEFAULT_LOOP, 1.0)

@@ -410,6 +410,16 @@ class TestTransposedKernels:
             assert np.array_equal(np.cos(theta[::-1]), np.cos(theta))
             assert np.array_equal(np.sin(theta[::-1]), -np.sin(theta))
 
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_q_means_are_the_transposed_i_means(self, order):
+        # The Q mean of (a, b) at theta is the I mean of (b, a) at -theta, bit for
+        # bit, in channel.rotate_symbol's own rotation.
+        c = build_constellation(order, 1.0, 0.3)
+        rule = ber_module._phase_rule(c, 0.0555, ber_module.QUAD_ORDER)
+        ki, kq = c.level_indices.T
+        q_means = rotate_symbol(c.levels[ki, None], c.levels[kq, None], c.a0, rule.theta)[1]
+        assert np.array_equal(ber_module._q_from_i(c, rule.means), q_means)
+
     @pytest.mark.parametrize("sigma", KERNEL_SIGMAS)
     @pytest.mark.parametrize("order", [4, 16, 64, 256])
     def test_kernels_equal_two_axis_reference(self, order, sigma):
@@ -718,6 +728,15 @@ class TestSweep:
         sweep = snr_sweep(c, 0.0, np.arange(2.0, 8.0, 1.0))
         assert sweep.fec_threshold_snr_db is None
         assert sweep.fec_threshold_note == "grid never crosses the KP4 error floor"
+
+    def test_identical_sweeps_share_their_threshold(self):
+        # Two sweeps of one link place the KP4 crossing at the same Es/N0: no penalty.
+        c = build_constellation(16, 1.0, 0.1)
+        grid = np.arange(14.0, 20.0, 0.5)
+        a, b = snr_sweep(c, 0.02, grid), snr_sweep(c, 0.02, grid)
+        assert a.fec_threshold_snr_db is not None
+        assert a.fec_threshold_snr_db == b.fec_threshold_snr_db
+        assert np.array_equal(a.ber, b.ber)
 
     def test_verdict_keeps_the_crossing_and_zero_step_rule(self):
         # Random BER arrays, non-monotone ones among them, with zeros and values
